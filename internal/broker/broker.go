@@ -68,7 +68,7 @@ var (
 	ErrNoPartition = errors.New("broker: no such partition")
 	// ErrNotEnoughReplicas reports acks=all with too few in-sync replicas.
 	ErrNotEnoughReplicas = errors.New("broker: not enough in-sync replicas")
-	// ErrFencedEpoch reports a replica fetch or ack carrying a stale
+	// ErrFencedEpoch reports a replica fetch carrying a stale
 	// leader epoch: the partition elected a newer leader, and the caller
 	// must refetch metadata, truncate to the new leader's log and retry.
 	ErrFencedEpoch = errors.New("broker: fenced leader epoch")

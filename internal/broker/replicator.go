@@ -34,13 +34,10 @@ type Replicator interface {
 	// ReplicaFetch serves a follower pull on the leader: events from
 	// the leader log at offset (long-polling up to wait), fenced by the
 	// follower's leader epoch. The fetch offset doubles as an ack for
-	// everything below it.
+	// everything below it, recorded on arrival — before any long-poll —
+	// so the high watermark advances the moment a follower asks for the
+	// batch after the one it just appended.
 	ReplicaFetch(followerID int, tp TP, epoch, offset int64, maxEvents, maxBytes int, wait time.Duration, stop <-chan struct{}, dst []event.Event) (ReplicaFetchResult, error)
-	// ReplicaAck records a follower's log end offset after it appended
-	// a fetched batch, advancing the high watermark (and the follower
-	// back into the ISR once caught up) without waiting for its next
-	// fetch round-trip.
-	ReplicaAck(followerID int, tp TP, epoch, leo int64) error
 	// Status reports the partition's tracked replication state for
 	// observability (metadata responses, CLI, metrics).
 	Status(tp TP) (ReplicaStatus, bool)
@@ -135,16 +132,6 @@ func (f *Fabric) ReplicaFetch(followerID int, topic string, partition int, epoch
 		return ReplicaFetchResult{}, ErrNoReplicator
 	}
 	return r.ReplicaFetch(followerID, TP{Topic: topic, Partition: partition}, epoch, offset, maxEvents, maxBytes, wait, stop, dst)
-}
-
-// ReplicaAck is the fabric entry point for the wire server's
-// OpReplicaAck.
-func (f *Fabric) ReplicaAck(followerID int, topic string, partition int, epoch, leo int64) error {
-	r := f.Replicator()
-	if r == nil {
-		return ErrNoReplicator
-	}
-	return r.ReplicaAck(followerID, TP{Topic: topic, Partition: partition}, epoch, leo)
 }
 
 // ReplicaStatusFor reports a partition's replication state, false when

@@ -245,7 +245,7 @@ func TestReplicationFeatureMaskedFallsBackToSingleReplica(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { mc.Close() })
-		m := replication.NewManager(f, id, wireReplicaClient{c: mc}, cfg)
+		m := replication.NewManager(f, id, mc, cfg)
 		m.Start()
 		t.Cleanup(m.Stop)
 	}

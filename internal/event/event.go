@@ -123,8 +123,24 @@ func (e *Event) MarshaledSize() int {
 // extended slice, so batch encoders reuse one growing buffer instead of
 // allocating per event.
 func (e *Event) AppendMarshal(buf []byte) []byte {
+	buf = e.AppendMarshalHead(buf)
+	buf = append(buf, e.Value...)
+	return e.AppendMarshalTail(buf)
+}
+
+// AppendMarshalHead appends the part of the encoding that precedes the
+// value bytes (key length, key, value length), and AppendMarshalTail
+// the part that follows them (timestamp, headers). Between the two a
+// vectored writer can place the value bytes by reference instead of
+// copying them; AppendMarshal places them inline.
+func (e *Event) AppendMarshalHead(buf []byte) []byte {
 	buf = appendBytes(buf, e.Key)
-	buf = appendBytes(buf, e.Value)
+	return binary.BigEndian.AppendUint32(buf, uint32(len(e.Value)))
+}
+
+// AppendMarshalTail appends the encoding after the value bytes; see
+// AppendMarshalHead.
+func (e *Event) AppendMarshalTail(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(e.Timestamp.UnixNano()))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Headers)))
 	for k, v := range e.Headers {

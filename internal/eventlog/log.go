@@ -136,6 +136,12 @@ func (s *segment) nextOffset() int64 {
 
 // Log is a single partition's commit log. All methods are safe for
 // concurrent use.
+//
+// Appended Key/Value bytes are write-once: the log keeps the slices it
+// was handed and never writes to them again (retention, compaction and
+// truncation drop records, never bytes). Callers hand over bytes that
+// nobody else mutates, and readers may hold on to what they read — the
+// wire writers send values straight from these arenas, with no copy.
 type Log struct {
 	mu       sync.RWMutex
 	cfg      Config
@@ -713,6 +719,11 @@ func (l *Log) EnforceRetention(now time.Time) int {
 		l.bytes -= int64(seg.bytes)
 		l.start = seg.nextOffset()
 		dropped = append(dropped, seg)
+		// Nil the slot before re-slicing: the backing array outlives the
+		// re-slice until the next append reallocates it, and a stale
+		// pointer there would keep the segment — and every arena its
+		// records alias — reachable.
+		l.segments[0] = nil
 		l.segments = l.segments[1:]
 	}
 	l.removeSegmentFiles(dropped)

@@ -3,10 +3,12 @@ package eventlog
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+	"weak"
 
 	"repro/internal/event"
 )
@@ -170,6 +172,40 @@ func TestRetentionDropsOldSegments(t *testing.T) {
 	if err != nil || len(got) != 10 {
 		t.Fatalf("read after retention: %v, %d events", err, len(got))
 	}
+}
+
+// appendArena appends one event whose value is a fresh arena and
+// returns a weak pointer to that arena. It is a separate, non-inlined
+// function so no stack slot of the caller keeps the arena alive.
+//
+//go:noinline
+func appendArena(t *testing.T, l *Log, at time.Time) weak.Pointer[[64 << 10]byte] {
+	arena := new([64 << 10]byte)
+	if _, err := l.Append(event.Event{Value: arena[:]}, at); err != nil {
+		t.Fatal(err)
+	}
+	return weak.Make(arena)
+}
+
+// TestRetentionReleasesDroppedArenas pins the retention leak: a segment
+// dropped by EnforceRetention must become unreachable at once, not when
+// the next append happens to reallocate the segment slice — otherwise
+// every arena its records alias stays pinned past the retention window.
+func TestRetentionReleasesDroppedArenas(t *testing.T) {
+	l := New(Config{SegmentEvents: 1, Retention: time.Minute})
+	wp := appendArena(t, l, t0)
+	if _, err := l.Append(ev("tail"), t0.Add(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if deleted := l.EnforceRetention(t0.Add(time.Hour)); deleted != 1 {
+		t.Fatalf("deleted = %d, want 1", deleted)
+	}
+	runtime.GC()
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("dropped segment's value arena is still reachable after GC")
+	}
+	runtime.KeepAlive(l)
 }
 
 func TestRetentionBytes(t *testing.T) {

@@ -6,16 +6,20 @@ import (
 	"time"
 
 	"repro/internal/broker"
+	"repro/internal/eventlog"
 	"repro/internal/metrics"
 )
 
 // Client is the transport a Manager pulls replication batches
-// through. wire.Client satisfies it via the WireClient adapter; tests
+// through. *wire.Client satisfies it over the network; tests
 // and single-process fabrics use LocalClient, which dispatches into
 // the fabric directly with identical semantics.
+//
+// Events a ReplicaFetch returns are appended to the follower's log,
+// which keeps them: their Key/Value bytes must not be overwritten by
+// a later fetch.
 type Client interface {
 	ReplicaFetch(follower int, topic string, partition int, epoch, offset int64, maxEvents, maxBytes int, wait time.Duration, buf *broker.FetchBuffer) (broker.ReplicaFetchResult, error)
-	ReplicaAck(follower int, topic string, partition int, epoch, leo int64) error
 }
 
 // LocalClient is the in-process Client: replica fetches run against
@@ -33,11 +37,6 @@ func (c LocalClient) ReplicaFetch(follower int, topic string, partition int, epo
 	return res, err
 }
 
-// ReplicaAck implements Client.
-func (c LocalClient) ReplicaAck(follower int, topic string, partition int, epoch, leo int64) error {
-	return c.F.ReplicaAck(follower, topic, partition, epoch, leo)
-}
-
 // Manager is the follower half of replication for one broker: a fetch
 // loop per partition the broker follows, started and stopped as the
 // controller's metadata changes (leadership moves, partitions grow,
@@ -49,7 +48,7 @@ type Manager struct {
 	cfg      Config
 
 	// Pre-resolved follower-side instrumentation: the replica-fetch
-	// round trip (fetch + local append + ack) and per-round batch size,
+	// round trip (fetch + local append) and per-round batch size,
 	// observed only for data-carrying rounds so lapsed long polls do not
 	// drown the distribution.
 	hRtt   *metrics.BucketHist
@@ -197,8 +196,11 @@ func sleepOr(d time.Duration, stop chan struct{}) bool {
 }
 
 // run is one partition's follower fetch loop: pull at the local log
-// end, append preserving offsets, ack. Epoch fencing and divergence
-// reconcile in-line; the loop exits when reconciliation stops it.
+// end, append preserving offsets, pull again. The next fetch's offset
+// is the ack — the leader records it on arrival, before it long-polls —
+// so a replicated batch costs one round trip. Epoch fencing and
+// divergence reconcile in-line; the loop exits when reconciliation
+// stops it.
 func (m *Manager) run(tp broker.TP, l *fetchLoop) {
 	defer m.wg.Done()
 	buf := &broker.FetchBuffer{}
@@ -206,18 +208,26 @@ func (m *Manager) run(tp broker.TP, l *fetchLoop) {
 	if !ok {
 		return
 	}
+	// log is the local replica, resolved once: BrokerLog decodes the
+	// topic's metadata document, too dear to pay every round. It is
+	// re-resolved only after a failed append, fetch or truncate, or a
+	// fencing — the moments a crash may have swapped the handle.
+	var log *eventlog.Log
 	for {
 		select {
 		case <-l.stop:
 			return
 		default:
 		}
-		log, err := m.f.BrokerLog(m.brokerID, tp.Topic, tp.Partition)
-		if err != nil {
-			if !sleepOr(m.cfg.RetryBackoff, l.stop) {
-				return
+		if log == nil {
+			var err error
+			if log, err = m.f.BrokerLog(m.brokerID, tp.Topic, tp.Partition); err != nil {
+				log = nil
+				if !sleepOr(m.cfg.RetryBackoff, l.stop) {
+					return
+				}
+				continue
 			}
-			continue
 		}
 		pos := log.EndOffset()
 		t0 := time.Now()
@@ -226,19 +236,16 @@ func (m *Manager) run(tp broker.TP, l *fetchLoop) {
 		case err == nil:
 			if len(batch.Events) > 0 {
 				if aerr := log.AppendReplicated(batch.Events); aerr != nil {
+					log = nil
 					if !sleepOr(m.cfg.RetryBackoff, l.stop) {
 						return
 					}
 					continue
 				}
-				// Push the new log end to the leader immediately: the HW
-				// (and any acks=all producer waiting on it) advances half
-				// a round trip sooner than the next fetch.
-				_ = m.cli.ReplicaAck(m.brokerID, tp.Topic, tp.Partition, epoch, log.EndOffset())
-				// The full replicate round: wire fetch + local append +
-				// ack. A round that long-polled before data arrived
-				// includes that park, so the low quantiles of a busy
-				// partition are the meaningful replication-speed signal.
+				// The replicate round: wire fetch + local append. A round
+				// that long-polled before data arrived includes that park,
+				// so the low quantiles of a busy partition are the
+				// meaningful replication-speed signal.
 				m.hRtt.Observe(int64(time.Since(t0)))
 				m.hBatch.Observe(int64(len(batch.Events)))
 				continue
@@ -247,7 +254,9 @@ func (m *Manager) run(tp broker.TP, l *fetchLoop) {
 				// Diverged: this replica carries records the leader never
 				// acked (an un-replicated tail from before a failover).
 				// Truncate to the leader's end and re-fetch.
-				_ = log.Truncate(batch.LogEnd)
+				if log.Truncate(batch.LogEnd) != nil {
+					log = nil
+				}
 				continue
 			}
 			// Caught up (the long poll lapsed empty); loop re-fetches.
@@ -257,6 +266,7 @@ func (m *Manager) run(tp broker.TP, l *fetchLoop) {
 		case errors.Is(err, broker.ErrFencedEpoch):
 			// A newer leader exists. Adopt the new epoch; if the local
 			// log diverged, the next fetch's LogEnd reconciles it.
+			log = nil
 			newEpoch, stillFollower := m.follows(tp)
 			if !stillFollower {
 				return
@@ -265,6 +275,7 @@ func (m *Manager) run(tp broker.TP, l *fetchLoop) {
 		default:
 			// Leader unavailable, re-election in progress, transport
 			// trouble: back off and retry. The epoch may have moved.
+			log = nil
 			if e, stillFollower := m.follows(tp); stillFollower {
 				epoch = e
 			} else {

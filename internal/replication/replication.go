@@ -19,7 +19,8 @@
 //     per partition its broker follows: pull a batch from the leader
 //     at the local log end (over wire-v2 OpReplicaFetch in a real
 //     cluster, or in-process for tests), append it preserving the
-//     leader-assigned offsets, and ack the new log end. Every fetch is
+//     leader-assigned offsets, and pull again: the next fetch's offset
+//     is the ack for everything below it. Every fetch is
 //     fenced by the leader epoch: a deposed leader rejects stale
 //     fetches with ErrFencedEpoch, and a fenced (or diverged) follower
 //     truncates its log to the new leader's end before re-fetching.

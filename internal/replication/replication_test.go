@@ -173,8 +173,17 @@ func TestReplicaFetchFencesStaleEpoch(t *testing.T) {
 	if _, err := f.ReplicaFetch(follower, "t", 0, pm.LeaderEpoch+1, 0, 10, 0, 0, nil, nil); !errors.Is(err, broker.ErrFencedEpoch) {
 		t.Fatalf("future epoch fetch: %v; want ErrFencedEpoch", err)
 	}
-	if err := f.ReplicaAck(follower, "t", 0, pm.LeaderEpoch-1, 3); !errors.Is(err, broker.ErrFencedEpoch) {
-		t.Fatalf("stale epoch ack: %v; want ErrFencedEpoch", err)
+	// The fetch offset is the follower's ack, so a stale-epoch fetch
+	// must be refused before it records any progress.
+	if _, err := f.ReplicaFetch(follower, "t", 0, pm.LeaderEpoch-1, 3, 10, 0, 0, nil, nil); !errors.Is(err, broker.ErrFencedEpoch) {
+		t.Fatalf("stale epoch fetch: %v; want ErrFencedEpoch", err)
+	}
+	if st, ok := f.ReplicaStatusFor("t", 0); ok {
+		for _, fs := range st.Followers {
+			if fs.Broker == follower && fs.LogEnd != 0 {
+				t.Fatalf("fenced fetch acked log end %d", fs.LogEnd)
+			}
+		}
 	}
 	if _, err := f.ReplicaFetch(follower, "t", 0, pm.LeaderEpoch, 0, 10, 0, 0, nil, nil); err != nil {
 		t.Fatalf("current epoch fetch: %v", err)

@@ -45,8 +45,7 @@ type partState struct {
 	replicas    int
 
 	// leaderLEO is the leader's log end; followers maps each follower
-	// broker to the log end it has acked (via fetch offset or explicit
-	// ack).
+	// broker to the log end it has acked (its latest fetch offset).
 	leaderLEO int64
 	followers map[int]int64
 	// hw is the partition high watermark: max(previous hw, min over
@@ -347,26 +346,6 @@ func (t *Tracker) ReplicaFetch(followerID int, tp broker.TP, epoch, offset int64
 	res.LogStart = log.StartOffset()
 	res.LogEnd = log.EndOffset()
 	return res, nil
-}
-
-// ReplicaAck implements broker.Replicator: an explicit post-append ack
-// that advances the HW without waiting for the follower's next fetch.
-func (t *Tracker) ReplicaAck(followerID int, tp broker.TP, epoch, leo int64) error {
-	_, curEpoch, err := t.f.LeaderLogInfo(tp.Topic, tp.Partition)
-	if err != nil {
-		return err
-	}
-	if err := fence(tp, epoch, curEpoch); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	st := t.stateLocked(tp)
-	expand := t.ackLocked(tp, st, followerID, leo)
-	t.mu.Unlock()
-	if expand {
-		_, _ = t.f.Ctl.ExpandISR(tp.Topic, tp.Partition, followerID)
-	}
-	return nil
 }
 
 // Status implements broker.Replicator.

@@ -69,7 +69,7 @@ type Options struct {
 	// and failover tests.
 	DisableMetaPush bool
 	// DisableReplication masks FeatReplication out of negotiation: the
-	// client never issues replica fetches or acks. Used by interop tests
+	// client never issues replica fetches. Used by interop tests
 	// to prove a mixed-version cluster degrades to single-replica
 	// operation instead of wedging.
 	DisableReplication bool
@@ -189,6 +189,13 @@ type call struct {
 	rawV1   *Request
 	corr    uint64
 	payload []byte
+	// inflight counts the writer's hold on payload: the writer may
+	// borrow it into a vectored write (see frameVec), so it stays
+	// immutable until the writer releases it — after its bytes left,
+	// or when the call was dropped unwritten. A call can complete
+	// earlier (fail fans out to pending calls while a write is still in
+	// flight); do waits for the release before returning.
+	inflight sync.WaitGroup
 	// arena, when non-nil, is the caller's receive buffer: the reader
 	// goroutine reads the response payload into it (growing as needed),
 	// which is what makes the consumer's fetch session reuse work over
@@ -228,8 +235,10 @@ type wireConn struct {
 	mu   sync.Mutex
 	cond *sync.Cond // signaled on queue push and on failure
 	// version is the negotiated protocol version. It starts at v1 and is
-	// bumped at most once, during the handshake, before any caller
-	// requests are admitted.
+	// bumped at most once, by the reader as it decodes the negotiate
+	// response — before it reads the next frame, which the server may
+	// already send in v2 framing — and before any caller requests are
+	// admitted.
 	version  int
 	features uint32
 	// queue holds calls accepted but not yet written; the writer drains
@@ -462,32 +471,29 @@ func (c *Client) installConn(ep *endpoint, i int) (*wireConn, error) {
 	return wc, nil
 }
 
-// connect dials, starts the writer/reader goroutines, negotiates the
-// protocol version, and authenticates. It touches only immutable
-// client state, so no lock is held across the network round trips.
+// connect dials addr and opens a client connection over it. It touches
+// only immutable client state, so no lock is held across the network
+// round trips.
 func (c *Client) connect(addr string) (*wireConn, error) {
 	conn, err := net.DialTimeout("tcp", addr, IOTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	wc := &wireConn{
-		conn:    conn,
-		rd:      bufio.NewReaderSize(conn, 64<<10),
-		version: ProtocolV1,
-		pending: make(map[uint64]*call),
-		done:    make(chan struct{}),
-	}
-	wc.cond = sync.NewCond(&wc.mu)
+	return c.open(conn)
+}
+
+// open starts the writer/reader goroutines on conn, negotiates the
+// protocol version, and authenticates.
+func (c *Client) open(conn net.Conn) (*wireConn, error) {
 	// Pushed metadata re-routes before a request fails: adopt the
 	// document synchronously on the reader (adoptMetadata never blocks
 	// on network I/O) so the table is fresh before the next frame.
-	wc.onMetaPush = c.adoptMetadata
-	go wc.writeLoop()
-	go wc.readLoop()
+	wc := newWireConn(conn, c.adoptMetadata)
 
 	// Version handshake, always in v1 framing: a server that predates
 	// negotiation answers with an "unknown op" (or not-authenticated)
-	// error, which means "speak v1".
+	// error, which means "speak v1". The reader adopts the negotiated
+	// framing itself (see readLoop).
 	if c.opts.MaxVersion >= ProtocolV2 {
 		ncl := &call{
 			rawV1: &Request{Op: OpNegotiate, MaxVersion: c.opts.MaxVersion, Features: c.opts.features()},
@@ -496,12 +502,6 @@ func (c *Client) connect(addr string) (*wireConn, error) {
 		if err := wc.do(ncl); err != nil {
 			wc.fail(err)
 			return nil, err
-		}
-		if ncl.srvErr == nil && ncl.v1resp.Version >= ProtocolV2 {
-			wc.mu.Lock()
-			wc.version = ProtocolV2
-			wc.features = ncl.v1resp.Features & c.opts.features()
-			wc.mu.Unlock()
 		}
 	}
 
@@ -517,7 +517,7 @@ func (c *Client) connect(addr string) (*wireConn, error) {
 			resp: &AuthResp{}, done: make(chan struct{}),
 		}
 	}
-	err = wc.do(hcl)
+	err := wc.do(hcl)
 	if err == nil {
 		err = hcl.srvErr
 	}
@@ -526,6 +526,23 @@ func (c *Client) connect(addr string) (*wireConn, error) {
 		return nil, err
 	}
 	return wc, nil
+}
+
+// newWireConn wraps conn in v1 framing and starts its writer and
+// reader goroutines.
+func newWireConn(conn net.Conn, onMetaPush func(*MetadataResp)) *wireConn {
+	wc := &wireConn{
+		conn:       conn,
+		rd:         bufio.NewReaderSize(conn, 64<<10),
+		version:    ProtocolV1,
+		pending:    make(map[uint64]*call),
+		done:       make(chan struct{}),
+		onMetaPush: onMetaPush,
+	}
+	wc.cond = sync.NewCond(&wc.mu)
+	go wc.writeLoop()
+	go wc.readLoop()
+	return wc
 }
 
 // Close shuts every pool connection on every endpoint, failing all
@@ -555,7 +572,8 @@ func (c *Client) Close() error {
 
 // do submits a prepared call on the connection and blocks for its
 // completion, returning any transport/codec error (server-reported
-// errors are in cl.srvErr).
+// errors are in cl.srvErr). When it returns, the writer no longer
+// holds cl.payload: the caller may reuse it.
 func (wc *wireConn) do(cl *call) error {
 	wc.mu.Lock()
 	if wc.err != nil {
@@ -565,11 +583,30 @@ func (wc *wireConn) do(cl *call) error {
 	}
 	wc.nextCorr++
 	cl.corr = wc.nextCorr
+	if cl.payload != nil {
+		cl.inflight.Add(1)
+	}
 	wc.queue = append(wc.queue, cl)
 	wc.cond.Signal()
 	wc.mu.Unlock()
 	<-cl.done
+	cl.inflight.Wait()
 	return cl.err
+}
+
+// finish completes a call the writer dropped unwritten, releasing its
+// payload first.
+func (cl *call) finish(err error) {
+	cl.release()
+	cl.err = err
+	close(cl.done)
+}
+
+// release ends the writer's hold on the call's payload.
+func (cl *call) release() {
+	if cl.payload != nil {
+		cl.inflight.Done()
+	}
 }
 
 // sendOneway enqueues a request with no response (stream credit grants
@@ -617,27 +654,29 @@ func (wc *wireConn) fail(err error) {
 }
 
 // appendCallFrame encodes one request frame in the connection's
-// negotiated framing. The negotiate handshake (rawV1) always travels as
-// v1 JSON.
-func appendCallFrame(buf []byte, version int, cl *call) ([]byte, error) {
+// negotiated framing, borrowing a large payload. The negotiate
+// handshake (rawV1) always travels as v1 JSON.
+func appendCallFrame(v *frameVec, version int, cl *call) error {
 	if cl.rawV1 != nil || version < ProtocolV2 {
 		r := cl.rawV1
 		if r == nil {
 			r = cl.req.v1()
 		}
 		r.Corr = cl.corr
-		return appendFrame(buf, r, cl.payload)
+		return v.appendV1(r, cl.payload, nil)
 	}
-	return appendFrameRequestV2(buf, cl.corr, cl.req, cl.payload)
+	return v.appendRequestV2(cl.corr, cl.req, cl.payload)
 }
 
 // writeLoop drains the queue, encoding every waiting frame into one
-// buffer and writing them with a single syscall — pipelined requests
-// coalesce on the wire. Each call is registered in pending just before
-// its bytes are written, so a response can never arrive for an
-// unregistered correlation ID.
+// frameVec and writing them with a single vectored syscall — pipelined
+// requests coalesce on the wire, and produce payloads of at least
+// borrowMin bytes go out without a copy. Each call is registered in
+// pending just before its bytes are written, so a response can never
+// arrive for an unregistered correlation ID; each call's payload is
+// released once the write that carried it returned.
 func (wc *wireConn) writeLoop() {
-	buf := make([]byte, 0, 4<<10)
+	var v frameVec
 	var batch, written []*call
 	for {
 		wc.mu.Lock()
@@ -650,8 +689,7 @@ func (wc *wireConn) writeLoop() {
 			err := wc.err
 			wc.mu.Unlock()
 			for _, cl := range q {
-				cl.err = err
-				close(cl.done)
+				cl.finish(err)
 			}
 			return
 		}
@@ -660,22 +698,18 @@ func (wc *wireConn) writeLoop() {
 		version := wc.version
 		wc.mu.Unlock()
 
-		buf = buf[:0]
 		written = written[:0]
 		for _, cl := range batch {
-			n := len(buf)
-			grown, err := appendCallFrame(buf, version, cl)
-			if err != nil {
+			if err := appendCallFrame(&v, version, cl); err != nil {
 				// Frame-level error (oversized, unmarshalable header):
-				// fail this call alone, the connection is fine.
-				buf = buf[:n]
-				cl.err = err
-				close(cl.done)
+				// fail this call alone, the connection is fine. The
+				// encoder rolled the frame back.
+				cl.finish(err)
 				continue
 			}
-			buf = grown
 			written = append(written, cl)
 		}
+		clear(batch)
 		if len(written) == 0 {
 			continue
 		}
@@ -685,9 +719,9 @@ func (wc *wireConn) writeLoop() {
 			// sent for these calls, so complete them here.
 			err := wc.err
 			wc.mu.Unlock()
+			v.reset()
 			for _, cl := range written {
-				cl.err = err
-				close(cl.done)
+				cl.finish(err)
 			}
 			return
 		}
@@ -708,8 +742,10 @@ func (wc *wireConn) writeLoop() {
 			_ = wc.conn.SetReadDeadline(time.Now().Add(IOTimeout))
 		}
 		wc.mu.Unlock()
-		_, werr := wc.conn.Write(buf)
+		werr := v.writeTo(wc.conn)
+		v.reset()
 		for _, cl := range written {
+			cl.release()
 			// One-way calls complete at write time, success or failure;
 			// they are never in pending, so fail() cannot reach them.
 			if cl.oneway {
@@ -717,13 +753,11 @@ func (wc *wireConn) writeLoop() {
 				close(cl.done)
 			}
 		}
+		clear(written)
 		if werr != nil {
 			wc.fail(werr)
 			// Loop back: the top of the loop drains remaining queued
 			// calls with the failure.
-		}
-		if cap(buf) > maxPooledFrame {
-			buf = make([]byte, 0, 4<<10)
 		}
 	}
 }
@@ -826,9 +860,18 @@ func (wc *wireConn) readLoop() {
 				}
 			} else {
 				cl.v1resp = v1resp
-				if v1resp.Err != "" {
+				switch {
+				case v1resp.Err != "":
 					cl.srvErr = errFromKind(v1resp.ErrKind, v1resp.Err)
-				} else if cl.resp != nil {
+				case cl.rawV1 != nil && cl.rawV1.Op == OpNegotiate && v1resp.Version >= ProtocolV2:
+					// Adopt v2 framing here, before the next frame is read:
+					// the server switches right after this response and may
+					// push metadata (FeatMetaPush) before the dialer wakes.
+					wc.mu.Lock()
+					wc.version = ProtocolV2
+					wc.features = v1resp.Features & cl.rawV1.Features
+					wc.mu.Unlock()
+				case cl.resp != nil:
 					cl.resp.fromV1(&cl.v1resp)
 				}
 			}
@@ -913,9 +956,10 @@ func (c *Client) callAt(addr string, slot int, req ReqMsg, resp respMsg, payload
 	return cl2, cl2.srvErr
 }
 
-// producePool recycles produce payload buffers: the payload is fully
-// encoded into the writer's frame buffer before the call completes, so
-// it can be reused as soon as the round trip returns.
+// producePool recycles produce payload buffers. The writer may send a
+// payload by reference (frameVec), so a buffer goes back only once the
+// call that carried it returned from wireConn.do — which waits for the
+// writer's release, not merely for the call's completion.
 var producePool = sync.Pool{New: func() any { b := make([]byte, 0, 16<<10); return &b }}
 
 // Produce implements client.Transport. identity is established by the

@@ -115,9 +115,6 @@ func runWireSuiteFeatures(t *testing.T, serverMax, clientMax, wantVersion int, s
 		if _, err := c.ReplicaFetch(1, "ip", 0, 0, 0, 10, 1<<20, 0, &rb); err == nil {
 			t.Fatal("ReplicaFetch succeeded without FeatReplication")
 		}
-		if err := c.ReplicaAck(1, "ip", 0, 0, 0); err == nil {
-			t.Fatal("ReplicaAck succeeded without FeatReplication")
-		}
 	}
 	if !wantMeta {
 		// The fallback contract: without the feature, OpMetadata is an
@@ -345,8 +342,7 @@ func TestInteropMetaPushOffClientSide(t *testing.T) {
 }
 
 // TestInteropReplicationOffServerSide: a server that predates
-// inter-broker replication refuses OpReplicaFetch/OpReplicaAck as
-// unknown ops while the whole data-plane suite passes unchanged — the
+// inter-broker replication refuses OpReplicaFetch as an unknown op while the whole data-plane suite passes unchanged — the
 // single-replica behavior every pre-replication pairing had.
 func TestInteropReplicationOffServerSide(t *testing.T) {
 	runWireSuiteFeatures(t, ProtocolV2, ProtocolV2, ProtocolV2, suiteFeatures{serverNoRepl: true})

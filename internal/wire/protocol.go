@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -91,7 +90,6 @@ const (
 	// fallback that lets a mixed-version cluster degrade to
 	// single-replica operation instead of wedging.
 	OpReplicaFetch Op = "replica_fetch"
-	OpReplicaAck   Op = "replica_ack"
 	// OpStats is the broker observability snapshot (v2-only; FeatStats).
 	// The v1 spelling exists purely so the message converted to v1
 	// framing is rejected as an unknown op by legacy servers — the clean
@@ -185,45 +183,17 @@ type Response struct {
 	Offsets []int64 `json:"offsets,omitempty"`
 }
 
-// appendFrame appends a header + payload frame to buf, letting writers
-// reuse one frame buffer across frames (and concatenate several frames
-// into a single write).
-func appendFrame(buf []byte, header any, payload []byte) ([]byte, error) {
-	hb, err := json.Marshal(header)
-	if err != nil {
-		return buf, fmt.Errorf("wire: marshal header: %w", err)
-	}
-	if len(hb) > MaxHeader || len(payload) > MaxFrame {
-		return buf, ErrFrameTooLarge
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(hb)))
-	buf = append(buf, hb...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	return buf, nil
-}
-
-// framePool recycles frame-encode buffers across WriteFrame calls, so
-// the per-frame cost on the response path is the write itself, not a
-// fresh buffer. Oversized buffers are dropped rather than pinned.
-var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
-
-// maxPooledFrame bounds the capacity of a buffer returned to framePool:
-// one giant fetch must not pin megabytes in the pool forever.
+// maxPooledFrame bounds the capacity of a frame buffer a writer keeps
+// for reuse: one giant fetch must not pin megabytes forever.
 const maxPooledFrame = 1 << 20
 
-// WriteFrame writes a header + payload frame.
+// WriteFrame writes a v1 header + payload frame.
 func WriteFrame(w io.Writer, header any, payload []byte) error {
-	bp := framePool.Get().(*[]byte)
-	buf, err := appendFrame((*bp)[:0], header, payload)
-	if err == nil {
-		_, err = w.Write(buf)
+	var v frameVec
+	if err := v.appendV1(header, payload, nil); err != nil {
+		return err
 	}
-	if cap(buf) <= maxPooledFrame {
-		*bp = buf[:0]
-		framePool.Put(bp)
-	}
-	return err
+	return v.writeTo(w)
 }
 
 // readHeaderInto reads the raw header section of a frame into *buf,
@@ -305,32 +275,6 @@ func ReadFrame(r io.Reader, header any) (payload []byte, err error) {
 		return nil, err
 	}
 	return ReadPayloadInto(r, nil)
-}
-
-// appendFrameEvents appends a frame whose payload is the marshaled
-// event batch, encoded directly into buf — the fetch response path uses
-// it to skip the intermediate payload buffer (and its copy) entirely.
-// On error buf is returned unmodified.
-func appendFrameEvents(buf []byte, header any, evs []event.Event) ([]byte, error) {
-	orig := len(buf)
-	hb, err := json.Marshal(header)
-	if err != nil {
-		return buf, fmt.Errorf("wire: marshal header: %w", err)
-	}
-	if len(hb) > MaxHeader {
-		return buf, ErrFrameTooLarge
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(hb)))
-	buf = append(buf, hb...)
-	lenAt := len(buf)
-	buf = binary.BigEndian.AppendUint32(buf, 0)
-	buf = event.AppendBatchMarshal(buf, evs)
-	plen := len(buf) - lenAt - 4
-	if plen > MaxFrame {
-		return buf[:orig], ErrFrameTooLarge
-	}
-	binary.BigEndian.PutUint32(buf[lenAt:], uint32(plen))
-	return buf, nil
 }
 
 // EncodeEvents concatenates marshaled events into one payload, sized

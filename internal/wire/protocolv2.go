@@ -86,7 +86,7 @@ const (
 	// then falls back to reactive metadata re-fetch (FeatClusterMeta).
 	FeatMetaPush uint32 = 1 << 5
 	// FeatReplication: the server accepts inter-broker replication ops
-	// (OpReplicaFetch/OpReplicaAck): followers pull batches from the
+	// (OpReplicaFetch): followers pull batches from the
 	// partition leader at their local end offset, fenced by the leader
 	// epoch. Masked (old peers, or DisableReplication), brokers fall
 	// back to single-replica operation — produce acks gate only on the
@@ -145,11 +145,13 @@ const (
 	// v2OpMetadataPush is a server-pushed cluster metadata document
 	// (FeatMetaPush), frame-compatible with an OpMetadata response body.
 	v2OpMetadataPush
-	// Inter-broker replication ops (FeatReplication): a follower pulls
-	// a batch from the leader's log at its own end offset, and acks its
-	// new end offset after appending, both fenced by the leader epoch.
+	// Inter-broker replication (FeatReplication): a follower pulls a
+	// batch from the leader's log at its own end offset, fenced by the
+	// leader epoch; the fetch offset acks everything below it.
 	v2OpReplicaFetch
-	v2OpReplicaAck
+	// The next byte was the retired explicit replica ack. It stays
+	// reserved: servers refuse it as an unknown op, never reassign it.
+	_
 	// v2OpStats is the broker observability snapshot (FeatStats): the
 	// exported metrics plus the produce stage-trace ring, as one
 	// request/response pair.
@@ -486,8 +488,6 @@ func newReqMsg(op uint8) ReqMsg {
 		return &SessionCloseReq{}
 	case v2OpReplicaFetch:
 		return &ReplicaFetchReq{}
-	case v2OpReplicaAck:
-		return &ReplicaAckReq{}
 	case v2OpStats:
 		return &StatsReq{}
 	}
@@ -557,8 +557,6 @@ func newRespMsg(op uint8) respMsg {
 		return &MetadataResp{}
 	case v2OpReplicaFetch:
 		return &ReplicaFetchResp{}
-	case v2OpReplicaAck:
-		return &EmptyResp{}
 	case v2OpStats:
 		return &StatsResp{}
 	}
@@ -1288,48 +1286,3 @@ func (m *HeartbeatResp) DecodeBody(b []byte) error {
 }
 func (m *HeartbeatResp) fromV1(r *Response) { m.Generation = r.Generation }
 func (m *HeartbeatResp) toV1(r *Response)   { r.Generation = m.Generation }
-
-// --- v2 frame assembly ---
-
-// appendFrameRequestV2 appends a complete v2 request frame.
-func appendFrameRequestV2(buf []byte, corr uint64, m ReqMsg, payload []byte) ([]byte, error) {
-	orig := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	buf = AppendRequestV2(buf, corr, m)
-	hlen := len(buf) - orig - 4
-	if hlen > MaxHeader || len(payload) > MaxFrame {
-		return buf[:orig], ErrFrameTooLarge
-	}
-	binary.BigEndian.PutUint32(buf[orig:], uint32(hlen))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	return append(buf, payload...), nil
-}
-
-// appendFrameResponseV2 appends a complete v2 response frame whose
-// payload is the marshaled event batch (fetch), encoded directly into
-// buf with no intermediate payload buffer — the v2 twin of
-// appendFrameEvents. err != nil encodes an error response (no events).
-func appendFrameResponseV2(buf []byte, op uint8, corr uint64, m Msg, respErr error, evs []event.Event) ([]byte, error) {
-	orig := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	if respErr != nil {
-		buf = appendErrResponseV2(buf, op, corr, respErr)
-		evs = nil
-	} else {
-		buf = AppendResponseV2(buf, op, corr, m)
-	}
-	hlen := len(buf) - orig - 4
-	if hlen > MaxHeader {
-		return buf[:orig], ErrFrameTooLarge
-	}
-	binary.BigEndian.PutUint32(buf[orig:], uint32(hlen))
-	lenAt := len(buf)
-	buf = binary.BigEndian.AppendUint32(buf, 0)
-	buf = event.AppendBatchMarshal(buf, evs)
-	plen := len(buf) - lenAt - 4
-	if plen > MaxFrame {
-		return buf[:orig], ErrFrameTooLarge
-	}
-	binary.BigEndian.PutUint32(buf[lenAt:], uint32(plen))
-	return buf, nil
-}

@@ -10,17 +10,14 @@ import (
 //
 // Replication is pull-based: a follower issues OpReplicaFetch against
 // the partition leader at its own log end offset, appends the returned
-// batch, and fetches again. The fetch offset doubles as the follower's
-// ack for everything below it, so the steady-state protocol needs no
-// extra round trip; OpReplicaAck exists to push the follower's new log
-// end to the leader immediately after an append, advancing the high
-// watermark (and acks=all producers waiting on it) half a round trip
-// sooner than the next fetch would.
+// batch, and fetches again. The fetch offset is the follower's ack for
+// everything below it, recorded by the leader on arrival, so one round
+// trip per batch both replicates and acks.
 //
 // Every replication message carries the follower's view of the leader
 // epoch. A deposed leader rejects stale-epoch fetches with
 // ErrFencedEpoch; a follower that discovers a newer epoch truncates
-// its log to the new leader's end and re-fetches. Both ops are v2-only
+// its log to the new leader's end and re-fetches. The op is v2-only
 // and negotiated behind FeatReplication — when the peer masks the bit,
 // followers never fetch, the ISR shrinks to the leader, and the
 // cluster degrades to the pre-replication single-replica behavior.
@@ -218,54 +215,4 @@ func (m *ReplicaFetchResp) toV1(r *Response) {
 	r.NumEvents = m.NumEvents
 	r.HighWatermark = m.HighWatermark
 	r.StartOffset = m.LogStart
-}
-
-// ReplicaAckReq pushes a follower's log end offset to the leader right
-// after an append (OpReplicaAck), advancing the high watermark without
-// waiting for the follower's next fetch. Answered with EmptyResp.
-type ReplicaAckReq struct {
-	Topic     string
-	Partition int
-	Follower  int
-	// LeaderEpoch fences the ack exactly like a fetch.
-	LeaderEpoch int64
-	// LogEnd is the follower's log end offset after the append.
-	LogEnd int64
-}
-
-func (*ReplicaAckReq) V2Op() uint8 { return v2OpReplicaAck }
-
-func (m *ReplicaAckReq) AppendBody(buf []byte) []byte {
-	buf = appendStr(buf, m.Topic)
-	buf = appendInt(buf, int64(m.Partition))
-	buf = appendInt(buf, int64(m.Follower))
-	buf = appendInt(buf, m.LeaderEpoch)
-	return appendInt(buf, m.LogEnd)
-}
-
-func (m *ReplicaAckReq) DecodeBody(b []byte) error { return m.decodeInterned(b, nil) }
-
-func (m *ReplicaAckReq) decodeInterned(b []byte, in *Interner) error {
-	var err error
-	var v int64
-	if m.Topic, b, err = getStrInterned(b, in); err != nil {
-		return err
-	}
-	if v, b, err = getInt(b); err != nil {
-		return err
-	}
-	m.Partition = int(v)
-	if v, b, err = getInt(b); err != nil {
-		return err
-	}
-	m.Follower = int(v)
-	if m.LeaderEpoch, b, err = getInt(b); err != nil {
-		return err
-	}
-	m.LogEnd, _, err = getInt(b)
-	return err
-}
-
-func (m *ReplicaAckReq) v1() *Request {
-	return &Request{Op: OpReplicaAck, Topic: m.Topic, Partition: m.Partition, Offset: m.LogEnd}
 }

@@ -360,18 +360,20 @@ func (s *Server) Close() {
 }
 
 // respWriter coalesces response frames from a connection's concurrent
-// handlers: frames accumulate in a pending buffer under the lock and a
-// flusher goroutine writes whatever has piled up in one syscall. When
-// many requests are in flight, their responses leave as a handful of
-// packets — which also lets the client's reader drain them from one
-// netpoll wakeup instead of one per response.
+// handlers: frames accumulate in a pending frameVec under the lock and a
+// flusher goroutine writes whatever has piled up in one vectored
+// syscall. When many requests are in flight, their responses leave as a
+// handful of packets — which also lets the client's reader drain them
+// from one netpoll wakeup instead of one per response. Event values of
+// at least borrowMin bytes are written straight from the log's
+// write-once arenas, never copied into the pending buffer.
 type respWriter struct {
 	conn net.Conn
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	buf    []byte // encoded frames awaiting flush
-	err    error  // sticky write failure
+	pend   frameVec // encoded frames awaiting flush
+	err    error    // sticky write failure
 	closed bool
 	done   chan struct{} // closed when the flusher exits
 }
@@ -384,11 +386,10 @@ func newRespWriter(conn net.Conn) *respWriter {
 }
 
 // write enqueues one v1 response frame whose payload is the marshaled
-// event batch (nil for payload-free responses), encoded directly into
-// the pending buffer — no intermediate payload buffer or second copy.
+// event batch (nil for payload-free responses).
 func (w *respWriter) write(resp *Response, evs []event.Event) error {
-	return w.enqueue(func(buf []byte) ([]byte, error) {
-		return appendFrameEvents(buf, resp, evs)
+	return w.enqueue(func(v *frameVec) error {
+		return v.appendV1(resp, nil, evs)
 	})
 }
 
@@ -396,24 +397,22 @@ func (w *respWriter) write(resp *Response, evs []event.Event) error {
 // error code + detail when respErr is non-nil) followed by the
 // marshaled event batch.
 func (w *respWriter) writeV2(op uint8, corr uint64, m Msg, respErr error, evs []event.Event) error {
-	return w.enqueue(func(buf []byte) ([]byte, error) {
-		return appendFrameResponseV2(buf, op, corr, m, respErr, evs)
+	return w.enqueue(func(v *frameVec) error {
+		return v.appendResponseV2(op, corr, m, respErr, evs)
 	})
 }
 
-func (w *respWriter) enqueue(encode func([]byte) ([]byte, error)) error {
+func (w *respWriter) enqueue(encode func(*frameVec) error) error {
 	w.mu.Lock()
 	if w.err != nil {
 		err := w.err
 		w.mu.Unlock()
 		return err
 	}
-	buf, err := encode(w.buf)
-	if err != nil {
+	if err := encode(&w.pend); err != nil {
 		w.mu.Unlock()
 		return err
 	}
-	w.buf = buf
 	w.cond.Signal()
 	w.mu.Unlock()
 	return nil
@@ -434,19 +433,20 @@ func (w *respWriter) close() {
 
 func (w *respWriter) flushLoop() {
 	defer close(w.done)
-	var out []byte
+	var out frameVec
 	for {
 		w.mu.Lock()
-		for len(w.buf) == 0 && w.err == nil && !w.closed {
+		for w.pend.empty() && w.err == nil && !w.closed {
 			w.cond.Wait()
 		}
-		if w.err != nil || (w.closed && len(w.buf) == 0) {
+		if w.err != nil || (w.closed && w.pend.empty()) {
 			w.mu.Unlock()
 			return
 		}
-		out, w.buf = w.buf, out[:0]
+		out, w.pend = w.pend, out
 		w.mu.Unlock()
-		_, err := w.conn.Write(out)
+		err := out.writeTo(w.conn)
+		out.reset()
 		if err != nil {
 			w.mu.Lock()
 			w.err = err
@@ -455,9 +455,6 @@ func (w *respWriter) flushLoop() {
 			// Wake the read loop so the connection tears down.
 			w.conn.Close()
 			return
-		}
-		if cap(out) > maxPooledFrame {
-			out = nil
 		}
 	}
 }
@@ -666,7 +663,7 @@ func (s *Server) serveConn(conn net.Conn) {
 					return
 				}
 				continue
-			case *ReplicaFetchReq, *ReplicaAckReq:
+			case *ReplicaFetchReq:
 				// Feature-gated like metadata, but the fetch long-polls
 				// and carries events, so a negotiated request falls
 				// through to the async dispatch below.
@@ -974,14 +971,6 @@ func (s *Server) dispatch(m ReqMsg, payload []byte, identity string, authed bool
 		}
 		resp.SetOffsets(res.Events)
 		return resp, res.Events, nil
-	case *ReplicaAckReq:
-		if err := s.leaderCheck(q.Topic, q.Partition); err != nil {
-			return nil, nil, err
-		}
-		if err := s.Fabric.ReplicaAck(q.Follower, q.Topic, q.Partition, q.LeaderEpoch, q.LogEnd); err != nil {
-			return nil, nil, err
-		}
-		return &EmptyResp{}, nil, nil
 	}
 	return nil, nil, fmt.Errorf("%w %T", errUnknownOp, m)
 }

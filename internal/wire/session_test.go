@@ -221,6 +221,9 @@ func TestSessionCreditBoundsServerPush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(res.Events) == 0 {
+		t.Fatal("first session fetch returned no events below the HW")
+	}
 	off := res.Events[len(res.Events)-1].Offset + 1
 	deadline := time.Now().Add(5 * time.Second)
 	for s.met().creditStalls.Value() == 0 && time.Now().Before(deadline) {

@@ -165,6 +165,9 @@ func TestStreamCreditBoundsServerPush(t *testing.T) {
 		t.Fatalf("server pushed nothing beyond the first batch (%d)", inflight)
 	}
 	// Resume: every remaining event arrives, in order.
+	if len(res.Events) == 0 {
+		t.Fatal("first stream fetch returned no events below the HW")
+	}
 	off := res.Events[len(res.Events)-1].Offset + 1
 	deadline := time.Now().Add(15 * time.Second)
 	for off < total && time.Now().Before(deadline) {
@@ -255,6 +258,9 @@ func TestStreamByteCreditBoundsServerPush(t *testing.T) {
 	}
 	// Resume: every remaining event arrives, in order — byte grants keep
 	// the window rolling.
+	if len(res.Events) == 0 {
+		t.Fatal("first stream fetch returned no events below the HW")
+	}
 	off := res.Events[len(res.Events)-1].Offset + 1
 	deadline := time.Now().Add(15 * time.Second)
 	for off < total && time.Now().Before(deadline) {

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -50,7 +51,9 @@ func fuzzReqSeeds() []ReqMsg {
 		&SessionCreditReq{SessionID: 3, CreditBytes: 65536},
 		&SessionCloseReq{SessionID: 3},
 		&ReplicaFetchReq{Topic: "rt", Partition: 2, Follower: 1, LeaderEpoch: 9, Offset: 1 << 30, MaxEvents: 500, MaxBytes: 4 << 20, WaitMaxMS: 250},
-		&ReplicaAckReq{Topic: "rt", Partition: 2, Follower: 1, LeaderEpoch: 9, LogEnd: 1 << 30},
+		// The follower's ack-carrying fetch right after an append: no
+		// long-poll, the offset is the new log end.
+		&ReplicaFetchReq{Topic: "rt", Partition: 0, Follower: 2, LeaderEpoch: 9, Offset: 1<<30 + 500, MaxEvents: 500, MaxBytes: 4 << 20},
 		&StatsReq{},
 	}
 }
@@ -136,7 +139,12 @@ func fuzzRespSeeds() []struct {
 			b.SetOffsets([]event.Event{{Offset: 60}, {Offset: 61}, {Offset: 62}, {Offset: 63}})
 			return b
 		}()},
-		{v2OpReplicaAck, &EmptyResp{}},
+		{v2OpReplicaFetch, func() Msg {
+			// A compacted leader log: the batch's offsets have holes.
+			b := &ReplicaFetchResp{NumEvents: 3, LeaderEpoch: 9, HighWatermark: 90, LogStart: 0, LogEnd: 91}
+			b.SetOffsets([]event.Event{{Offset: 70}, {Offset: 75}, {Offset: 76}})
+			return b
+		}()},
 		{v2OpStats, statsRespSeed()},
 	}
 }
@@ -203,6 +211,35 @@ func TestV2ResponseCodecRoundTrip(t *testing.T) {
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("op %d (%T): re-encode mismatch\n %x\n %x", seed.op, seed.m, enc, enc2)
 		}
+	}
+}
+
+// retiredReplicaAckHeader is a request header carrying the retired
+// explicit replica-ack op byte (follower 2's ack of log end 44 on t/1,
+// as old followers sent it).
+func retiredReplicaAckHeader(corr uint64) []byte {
+	b := append([]byte{v2OpReplicaFetch + 1}, make([]byte, 8)...)
+	binary.BigEndian.PutUint64(b[1:], corr)
+	b = appendTopicPartition(b, "t", 1)
+	b = appendInt(b, 2)
+	b = appendInt(b, 5)
+	return appendInt(b, 44)
+}
+
+// TestRetiredReplicaAckOpReserved pins the retirement of the explicit
+// replica ack: its op byte decodes as an unknown op (answered with a
+// typed error, the connection intact) and was not reassigned — the op
+// after it kept its number.
+func TestRetiredReplicaAckOpReserved(t *testing.T) {
+	corr, op, m, err := decodeAnyRequestV2(retiredReplicaAckHeader(12), nil)
+	if !errors.Is(err, errUnknownOp) || m != nil {
+		t.Fatalf("retired op decoded: %T, %v; want unknown op", m, err)
+	}
+	if corr != 12 || op != v2OpReplicaFetch+1 {
+		t.Fatalf("prefix corr=%d op=%d", corr, op)
+	}
+	if v2OpStats != v2OpReplicaFetch+2 {
+		t.Fatalf("v2OpStats = %d, want %d: the retired op byte was reassigned", v2OpStats, v2OpReplicaFetch+2)
 	}
 }
 
@@ -338,6 +375,82 @@ func TestNegotiationSelectsV2(t *testing.T) {
 	}
 }
 
+// TestMetadataPushRightAfterNegotiate pins the handshake race: a
+// server may push v2 metadata the moment it has answered OpNegotiate,
+// before the dialing goroutine wakes up. The client's reader must
+// already read that frame in v2 framing — read as a v1 JSON header it
+// fails the connection with "wire: bad header". The eager server here
+// sends the negotiate response and the push in one write, every time.
+func TestMetadataPushRightAfterNegotiate(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	addr := ln.Addr().String()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go serveEagerPush(conn, addr)
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		c, err := DialOptions(addr, Options{Anonymous: true, PoolSize: 1})
+		if err != nil {
+			t.Fatalf("dial %d against an eager pusher: %v", i, err)
+		}
+		if v, feats := c.ProtocolVersion(), c.Features(); v != ProtocolV2 || feats != FeatMetaPush {
+			t.Fatalf("dial %d: negotiated v%d features %#x", i, v, feats)
+		}
+		if !c.RouterEnabled() {
+			t.Fatalf("dial %d: pushed metadata was not adopted", i)
+		}
+		c.Close()
+	}
+}
+
+// serveEagerPush answers one connection's handshake with a negotiate
+// response immediately followed by a pushed metadata frame, then
+// answers the v2 ping an anonymous dial probes with.
+func serveEagerPush(conn net.Conn, addr string) {
+	defer conn.Close()
+	rd := bufio.NewReader(conn)
+	var req Request
+	if _, err := ReadFrame(rd, &req); err != nil {
+		return
+	}
+	var v frameVec
+	_ = v.appendV1(&Response{Corr: req.Corr, Version: ProtocolV2, Features: FeatMetaPush}, nil, nil)
+	_ = v.appendResponseV2(v2OpMetadataPush, 0, &MetadataResp{
+		Epoch:   1,
+		Brokers: []BrokerMeta{{ID: 0, Addr: addr, Up: true}},
+	}, nil, nil)
+	if v.writeTo(conn) != nil {
+		return
+	}
+	var hb []byte
+	hdr, err := readHeaderInto(rd, &hb)
+	if err != nil {
+		return
+	}
+	if _, err := ReadPayloadInto(rd, nil); err != nil {
+		return
+	}
+	corr, op, _, err := decodeAnyRequestV2(hdr, nil)
+	if err != nil {
+		return
+	}
+	v.reset()
+	_ = v.appendResponseV2(op, corr, &EmptyResp{}, nil, nil)
+	if v.writeTo(conn) != nil {
+		return
+	}
+	_, _ = io.Copy(io.Discard, rd)
+}
+
 // FuzzDecodeRequestV2 feeds arbitrary bytes to the server-side request
 // decoder: it must never panic, and any header it accepts must
 // round-trip byte-identically through re-encode → decode → re-encode.
@@ -440,7 +553,7 @@ func FuzzDecodeStreamFrames(f *testing.F) {
 		Topics:  []TopicLeadership{{Name: "t", Partitions: []PartitionLeadership{{Leader: 0, Replicas: []int{0}, ISR: []int{0}}}}},
 	}))
 	f.Add(uint8(0), AppendRequestV2(nil, 11, &ReplicaFetchReq{Topic: "t", Partition: 1, Follower: 2, LeaderEpoch: 5, Offset: 40, MaxEvents: 500, MaxBytes: 1 << 20, WaitMaxMS: 100}))
-	f.Add(uint8(1), AppendRequestV2(nil, 12, &ReplicaAckReq{Topic: "t", Partition: 1, Follower: 2, LeaderEpoch: 5, LogEnd: 44}))
+	f.Add(uint8(1), retiredReplicaAckHeader(12))
 	replicaBatch := &ReplicaFetchResp{NumEvents: 4, LeaderEpoch: 5, HighWatermark: 43, LogStart: 0, LogEnd: 44}
 	replicaBatch.SetOffsets([]event.Event{{Offset: 40}, {Offset: 41}, {Offset: 42}, {Offset: 43}})
 	f.Add(uint8(3), AppendResponseV2(nil, v2OpReplicaFetch, 11, replicaBatch))
@@ -546,11 +659,11 @@ func TestMetadataRequiresAuth(t *testing.T) {
 	if nresp.Version != ProtocolV2 || nresp.Features&FeatClusterMeta == 0 {
 		t.Fatalf("negotiation = v%d feats %x", nresp.Version, nresp.Features)
 	}
-	frame, err := appendFrameRequestV2(nil, 2, &MetadataReq{}, nil)
-	if err != nil {
+	var frame frameVec
+	if err := frame.appendRequestV2(2, &MetadataReq{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write(frame); err != nil {
+	if err := frame.writeTo(conn); err != nil {
 		t.Fatal(err)
 	}
 	var hdrBuf []byte
@@ -594,11 +707,11 @@ func TestStatsRequiresAuth(t *testing.T) {
 	if nresp.Version != ProtocolV2 || nresp.Features&FeatStats == 0 {
 		t.Fatalf("negotiation = v%d feats %x", nresp.Version, nresp.Features)
 	}
-	frame, err := appendFrameRequestV2(nil, 2, &StatsReq{}, nil)
-	if err != nil {
+	var frame frameVec
+	if err := frame.appendRequestV2(2, &StatsReq{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write(frame); err != nil {
+	if err := frame.writeTo(conn); err != nil {
 		t.Fatal(err)
 	}
 	var hdrBuf []byte

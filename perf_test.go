@@ -597,6 +597,9 @@ func BenchmarkManyConnections(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		if len(res.Events) == 0 {
+			b.Fatalf("session fetch at offset %d returned no events below HW %d", off, res.HighWatermark)
+		}
 		if off = res.Events[len(res.Events)-1].Offset + 1; off >= perPart {
 			off = 0
 		}
@@ -613,13 +616,13 @@ func BenchmarkManyConnections(b *testing.B) {
 // BenchmarkReplicatedProduce gates PR 8's tentpole cost: on a 3-broker
 // RF-3 clusternet fabric with every broker behind an emulated WAN link
 // (testbed.DelayProxy), an acks=all produce — which commits only after
-// the follower brokers replicate the batch over OpReplicaFetch and ack
-// — must cost at most 2.5x an acks=leader produce in the same run.
-// The budget is what the long-poll design predicts: followers park on
-// the leader's tail waiter, so a produce pays one client→leader round
-// trip plus roughly one follower link round trip (push to the parked
-// fetch, then the OpReplicaAck that advances the high watermark), not
-// a fetch-interval of idle waiting.
+// the follower brokers replicate the batch over OpReplicaFetch — must
+// cost at most 2.5x an acks=leader produce in the same run. The budget
+// is what the long-poll design predicts: followers park on the
+// leader's tail waiter, so a produce pays one client→leader round trip
+// plus roughly one follower link round trip (push to the parked fetch,
+// then the follower's next fetch, whose offset acks the batch and
+// advances the high watermark), not a fetch-interval of idle waiting.
 func BenchmarkReplicatedProduce(b *testing.B) {
 	const oneWay = 2 * time.Millisecond
 	f := broker.NewFabric(nil)
