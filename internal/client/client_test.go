@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,6 +101,95 @@ func TestProducerLingerFlush(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("linger flush did not happen")
+}
+
+// slowTransport delays every Produce, recording how many overlap and
+// the values each batch carried when the call started.
+type slowTransport struct {
+	Transport
+	delay time.Duration
+
+	inflight, maxInflight atomic.Int32
+	mu                    sync.Mutex
+	got                   []string
+	changed               bool
+}
+
+func (s *slowTransport) Produce(identity, topic string, partition int, evs []event.Event, acks broker.Acks) (int64, error) {
+	n := s.inflight.Add(1)
+	defer s.inflight.Add(-1)
+	for {
+		m := s.maxInflight.Load()
+		if n <= m || s.maxInflight.CompareAndSwap(m, n) {
+			break
+		}
+	}
+	vals := make([]string, len(evs))
+	for i := range evs {
+		vals[i] = string(evs[i].Value)
+	}
+	time.Sleep(s.delay)
+	s.mu.Lock()
+	for i := range evs {
+		// The batch is the caller's until Produce returns: it must not
+		// change while the call is in flight.
+		if string(evs[i].Value) != vals[i] {
+			s.changed = true
+		}
+	}
+	s.got = append(s.got, vals...)
+	s.mu.Unlock()
+	return s.Transport.Produce(identity, topic, partition, evs, acks)
+}
+
+// TestProducerOneBatchInFlight pins the Producer's ordering contract
+// over a slow transport: Sends keep arriving while a batch is in
+// flight, yet Produce calls never overlap, every batch stays intact
+// until its call returns, and events reach the transport — and the
+// log — in Send order.
+func TestProducerOneBatchInFlight(t *testing.T) {
+	_, direct := newTransport(t, 1)
+	tr := &slowTransport{Transport: direct, delay: 2 * time.Millisecond}
+	p := NewProducer(tr, "t", ProducerConfig{BatchEvents: 7, Linger: time.Millisecond})
+	defer p.Close()
+	const n = 300
+	for i := 0; i < n; i++ {
+		if err := p.Send(event.Event{Value: []byte(fmt.Sprintf("e%03d", i))}); err != nil {
+			t.Fatal(err)
+		}
+		if i%25 == 0 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if m := tr.maxInflight.Load(); m != 1 {
+		t.Fatalf("%d Produce calls overlapped, want 1 at a time", m)
+	}
+	tr.mu.Lock()
+	got, changed := tr.got, tr.changed
+	tr.mu.Unlock()
+	if changed {
+		t.Fatal("a batch changed while its Produce call was in flight")
+	}
+	if len(got) != n {
+		t.Fatalf("transport saw %d events, want %d", len(got), n)
+	}
+	for i, v := range got {
+		if want := fmt.Sprintf("e%03d", i); v != want {
+			t.Fatalf("transport event %d = %s, want %s", i, v, want)
+		}
+	}
+	res, err := direct.Fetch("", "t", 0, 0, n, 0)
+	if err != nil || len(res.Events) != n {
+		t.Fatalf("fetched %d, %v", len(res.Events), err)
+	}
+	for i, ev := range res.Events {
+		if want := fmt.Sprintf("e%03d", i); string(ev.Value) != want {
+			t.Fatalf("offset %d = %s, want %s", i, ev.Value, want)
+		}
+	}
 }
 
 func TestProducerSendSync(t *testing.T) {

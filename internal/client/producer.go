@@ -32,8 +32,13 @@ type ProducerConfig struct {
 	// BufferBytes flushes when this much payload is buffered
 	// (default 256 KB, the paper's buffer.memory).
 	BufferBytes int
-	// Linger is the maximum time an event waits in the buffer before a
-	// flush (default 5 ms).
+	// Linger is how long the flusher waits for more events before it
+	// sends a batch that is not full (default 5 ms). It does not bound
+	// how long an event waits: each Producer has one batch in flight at
+	// a time, which is what keeps per-partition order, and events sent
+	// meanwhile queue behind it. Such an event waits for that batch's
+	// acknowledgment (at acks=all, replication included), then up to
+	// Linger more.
 	Linger time.Duration
 	// Clock supplies time (default real).
 	Clock vclock.Clock
@@ -83,6 +88,11 @@ func (e *DeliveryError) Unwrap() error { return e.Err }
 // Send buffers, a background flusher groups events into batches bounded
 // by count, bytes, and linger time, and failed batches are retried with
 // backoff. Flush and Close provide the synchronous barriers.
+//
+// One flusher goroutine produces every buffered batch, one at a time:
+// its Transport.Produce calls never overlap, and batches reach the
+// transport in Send order. SendSync bypasses the buffer and the
+// flusher, and with them that ordering.
 type Producer struct {
 	t     Transport
 	topic string
@@ -91,6 +101,10 @@ type Producer struct {
 	mu      sync.Mutex
 	buf     []event.Event
 	bufSize int
+	// spare is the flusher's second batch slice: flushOnce swaps it in
+	// for buf, and keeps the drained batch, cleared, as the next spare
+	// once Produce has returned. Only the flusher touches it.
+	spare   []event.Event
 	closed  bool
 	flushCh chan chan error
 	wakeCh  chan struct{}
@@ -225,13 +239,18 @@ func (p *Producer) recordErr(err error) {
 func (p *Producer) flushOnce() error {
 	p.mu.Lock()
 	batch := p.buf
-	p.buf = nil
-	p.bufSize = 0
-	p.mu.Unlock()
 	if len(batch) == 0 {
+		p.mu.Unlock()
 		return nil
 	}
+	p.buf = p.spare
+	p.bufSize = 0
+	p.mu.Unlock()
 	_, err := p.produceWithRetry(batch)
+	// Produce has returned, so the transport holds no reference to
+	// batch: drop its events' references and keep it as the spare.
+	clear(batch)
+	p.spare = batch[:0]
 	return err
 }
 

@@ -199,7 +199,11 @@ func (l *Log) appendLocked(ev event.Event, now time.Time) error {
 			active.end = 0
 			return err
 		}
-		active = &segment{baseOffset: l.next, created: now}
+		// Size the new records array once, from the sealed predecessor:
+		// the next segment most likely fills to the same count, and an
+		// array regrown by append would copy a megabyte under l.mu.
+		n := min(len(active.records), l.cfg.SegmentEvents)
+		active = &segment{baseOffset: l.next, created: now, records: make([]record, 0, n)}
 		l.segments = append(l.segments, active)
 	}
 	if len(active.records) == 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/event"
 )
@@ -64,6 +65,49 @@ func TestAppendBatchSpansSegments(t *testing.T) {
 	}
 	if l.EndOffset() != 40 {
 		t.Fatalf("end = %d, want 40", l.EndOffset())
+	}
+}
+
+// TestRolledSegmentAllocatesRecordsOnce pins the segment roll's sizing:
+// after the first roll, every segment's records array is allocated once,
+// at the roll, sized to its sealed predecessor's record count — appends
+// never regrow (and copy) it under the log lock. Rolls happen by bytes,
+// as they do in production, with batches straddling each boundary.
+func TestRolledSegmentAllocatesRecordsOnce(t *testing.T) {
+	const size, perSegment = 512, 64
+	l := New(Config{SegmentBytes: size * perSegment})
+	// arrays[i] is segment i's backing array when its first record landed.
+	var arrays []*record
+	batch := make([]event.Event, 7)
+	for i := range batch {
+		batch[i] = sizedEv(size, "r")
+	}
+	for round := 0; round < 60; round++ {
+		var err error
+		if round%2 == 0 {
+			_, err = l.AppendBatch(batch, t0)
+		} else {
+			_, err = l.Append(batch[0], t0)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, seg := range l.segments {
+			if i == len(arrays) {
+				arrays = append(arrays, unsafe.SliceData(seg.records))
+			}
+			if i > 0 && unsafe.SliceData(seg.records) != arrays[i] {
+				t.Fatalf("segment %d regrew its records array at %d records", i, len(seg.records))
+			}
+		}
+	}
+	if len(l.segments) < 4 {
+		t.Fatalf("only %d segments: the test must cross several rolls", len(l.segments))
+	}
+	for i := 1; i < len(l.segments); i++ {
+		if got, want := cap(l.segments[i].records), len(l.segments[i-1].records); got != want {
+			t.Fatalf("segment %d records cap = %d, want its predecessor's count %d", i, got, want)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,8 +132,12 @@ func (o *Options) fill() {
 // from many goroutines are therefore in flight at once. On top of
 // that, the client keeps a small connection pool per broker endpoint
 // with per-partition affinity: requests for the same topic-partition
-// always share one connection (preserving ordering), while other
-// partitions proceed on their own connections.
+// always share one connection, while other partitions proceed on their
+// own connections. Affinity alone does not order overlapping calls:
+// the server runs each request on its own goroutine, so two produces
+// in flight at once may append in either order. Order holds for calls
+// that do not overlap — one returns before the next starts — which is
+// how the SDK producer issues them (one batch in flight).
 //
 // When the seed connection negotiates FeatClusterMeta, the client is a
 // metadata-driven router (router.go): it learns every broker's
@@ -186,13 +191,15 @@ type call struct {
 	// rawV1, when set, bypasses req entirely and is sent as a v1 JSON
 	// header regardless of the connection version — the negotiate
 	// handshake itself, which must be readable by servers of any vintage.
-	rawV1   *Request
-	corr    uint64
-	payload []byte
-	// inflight counts the writer's hold on payload: the writer may
-	// borrow it into a vectored write (see frameVec), so it stays
-	// immutable until the writer releases it — after its bytes left,
-	// or when the call was dropped unwritten. A call can complete
+	rawV1 *Request
+	corr  uint64
+	// evs is a produce request's batch, encoded by the writer straight
+	// into its frame.
+	evs []event.Event
+	// inflight counts the writer's hold on evs: the writer may borrow
+	// their values into a vectored write (see frameVec), so they stay
+	// immutable until the writer releases them — after their bytes
+	// left, or when the call was dropped unwritten. A call can complete
 	// earlier (fail fans out to pending calls while a write is still in
 	// flight); do waits for the release before returning.
 	inflight sync.WaitGroup
@@ -573,7 +580,7 @@ func (c *Client) Close() error {
 // do submits a prepared call on the connection and blocks for its
 // completion, returning any transport/codec error (server-reported
 // errors are in cl.srvErr). When it returns, the writer no longer
-// holds cl.payload: the caller may reuse it.
+// holds cl.evs: the caller may reuse their bytes.
 func (wc *wireConn) do(cl *call) error {
 	wc.mu.Lock()
 	if wc.err != nil {
@@ -583,7 +590,7 @@ func (wc *wireConn) do(cl *call) error {
 	}
 	wc.nextCorr++
 	cl.corr = wc.nextCorr
-	if cl.payload != nil {
+	if cl.evs != nil {
 		cl.inflight.Add(1)
 	}
 	wc.queue = append(wc.queue, cl)
@@ -595,16 +602,16 @@ func (wc *wireConn) do(cl *call) error {
 }
 
 // finish completes a call the writer dropped unwritten, releasing its
-// payload first.
+// events first.
 func (cl *call) finish(err error) {
 	cl.release()
 	cl.err = err
 	close(cl.done)
 }
 
-// release ends the writer's hold on the call's payload.
+// release ends the writer's hold on the call's events.
 func (cl *call) release() {
-	if cl.payload != nil {
+	if cl.evs != nil {
 		cl.inflight.Done()
 	}
 }
@@ -630,7 +637,7 @@ func (wc *wireConn) sendOneway(req ReqMsg) error {
 
 // fail marks the connection broken and fans the error out to every
 // pending caller. Queued-but-unwritten calls are completed by the writer
-// on its way out (it is the only goroutine that touches their payloads).
+// on its way out (it is the only goroutine that touches their events).
 // Idempotent: the first error wins.
 func (wc *wireConn) fail(err error) {
 	wc.mu.Lock()
@@ -654,7 +661,7 @@ func (wc *wireConn) fail(err error) {
 }
 
 // appendCallFrame encodes one request frame in the connection's
-// negotiated framing, borrowing a large payload. The negotiate
+// negotiated framing, borrowing large event values. The negotiate
 // handshake (rawV1) always travels as v1 JSON.
 func appendCallFrame(v *frameVec, version int, cl *call) error {
 	if cl.rawV1 != nil || version < ProtocolV2 {
@@ -663,18 +670,18 @@ func appendCallFrame(v *frameVec, version int, cl *call) error {
 			r = cl.req.v1()
 		}
 		r.Corr = cl.corr
-		return v.appendV1(r, cl.payload, nil)
+		return v.appendV1(r, nil, cl.evs)
 	}
-	return v.appendRequestV2(cl.corr, cl.req, cl.payload)
+	return v.appendRequestV2(cl.corr, cl.req, cl.evs)
 }
 
 // writeLoop drains the queue, encoding every waiting frame into one
 // frameVec and writing them with a single vectored syscall — pipelined
-// requests coalesce on the wire, and produce payloads of at least
+// requests coalesce on the wire, and produce values of at least
 // borrowMin bytes go out without a copy. Each call is registered in
 // pending just before its bytes are written, so a response can never
-// arrive for an unregistered correlation ID; each call's payload is
-// released once the write that carried it returned.
+// arrive for an unregistered correlation ID; each call's events are
+// released once the write that carried them returned.
 func (wc *wireConn) writeLoop() {
 	var v frameVec
 	var batch, written []*call
@@ -924,12 +931,12 @@ func (wc *wireConn) readLoop() {
 // failure — the router (router.go) and the SDK's retry loop handle
 // persistent failure and re-routing. The returned error is either a
 // transport error or the server's reconstructed domain sentinel.
-func (c *Client) callAt(addr string, slot int, req ReqMsg, resp respMsg, payload, arena []byte) (*call, error) {
+func (c *Client) callAt(addr string, slot int, req ReqMsg, resp respMsg, evs []event.Event, arena []byte) (*call, error) {
 	wc, err := c.connAt(addr, slot)
 	if err != nil {
 		return nil, err
 	}
-	cl := &call{op: req.V2Op(), req: req, resp: resp, payload: payload, arena: arena, done: make(chan struct{})}
+	cl := &call{op: req.V2Op(), req: req, resp: resp, evs: evs, arena: arena, done: make(chan struct{})}
 	derr := wc.do(cl)
 	if derr == nil {
 		return cl, cl.srvErr
@@ -949,18 +956,12 @@ func (c *Client) callAt(addr string, slot int, req ReqMsg, resp respMsg, payload
 	if rerr != nil {
 		return nil, derr
 	}
-	cl2 := &call{op: req.V2Op(), req: req, resp: resp, payload: payload, arena: cl.arena, done: make(chan struct{})}
+	cl2 := &call{op: req.V2Op(), req: req, resp: resp, evs: evs, arena: cl.arena, done: make(chan struct{})}
 	if derr := wc2.do(cl2); derr != nil {
 		return nil, derr
 	}
 	return cl2, cl2.srvErr
 }
-
-// producePool recycles produce payload buffers. The writer may send a
-// payload by reference (frameVec), so a buffer goes back only once the
-// call that carried it returned from wireConn.do — which waits for the
-// writer's release, not merely for the call's completion.
-var producePool = sync.Pool{New: func() any { b := make([]byte, 0, 16<<10); return &b }}
 
 // Produce implements client.Transport. identity is established by the
 // connection's credentials; the parameter is ignored.
@@ -981,21 +982,43 @@ func (c *Client) Produce(_ string, topic string, partition int, evs []event.Even
 }
 
 // produceTo produces one batch to a single partition (or, when
-// partition < 0, to the seed's per-event router).
+// partition < 0, to the seed's per-event router). The writer encodes
+// evs straight into the request frame, borrowing large values, so evs
+// must not change until produceTo returns — the Transport contract.
 func (c *Client) produceTo(topic string, partition int, evs []event.Event, acks broker.Acks) (int64, error) {
 	req := ProduceReq{Topic: topic, Partition: partition, Acks: int(acks), NumEvents: len(evs)}
 	var resp ProduceResp
-	bp := producePool.Get().(*[]byte)
-	payload := event.AppendBatchMarshal((*bp)[:0], evs)
-	_, err := c.dataCall(topic, partition, &req, &resp, payload, nil)
-	if cap(payload) <= maxPooledFrame {
-		*bp = payload[:0]
-		producePool.Put(bp)
-	}
-	if err != nil {
+	if _, err := c.dataCall(topic, partition, &req, &resp, evs, nil); err != nil {
 		return 0, err
 	}
 	return resp.Offset, nil
+}
+
+// partitionScratch is producePartitioned's per-call state, recycled
+// through partitionPool: the batch's per-partition buckets, the order
+// the partitions first appeared in, and each bucket's outcome.
+type partitionScratch struct {
+	buckets [][]event.Event
+	order   []int
+	offs    []int64
+	errs    []error
+}
+
+var partitionPool = sync.Pool{New: func() any { return new(partitionScratch) }}
+
+// release clears every reference the scratch holds into the caller's
+// batch and recycles it, unless one bucket grew past maxScratchEvents.
+func (sc *partitionScratch) release() {
+	for _, p := range sc.order {
+		if cap(sc.buckets[p]) > maxScratchEvents {
+			return
+		}
+		clear(sc.buckets[p])
+		sc.buckets[p] = sc.buckets[p][:0]
+	}
+	clear(sc.errs)
+	sc.order = sc.order[:0]
+	partitionPool.Put(sc)
 }
 
 // producePartitioned buckets a per-event-routed batch by partition and
@@ -1006,8 +1029,11 @@ func (c *Client) producePartitioned(topic string, parts int, evs []event.Event, 
 	if parts == 1 || len(evs) == 0 {
 		return c.produceTo(topic, 0, evs, acks)
 	}
-	buckets := make([][]event.Event, parts)
-	order := make([]int, 0, parts)
+	sc := partitionPool.Get().(*partitionScratch)
+	defer sc.release()
+	for len(sc.buckets) < parts {
+		sc.buckets = append(sc.buckets, nil)
+	}
 	for i := range evs {
 		var p int
 		if len(evs[i].Key) > 0 {
@@ -1015,31 +1041,32 @@ func (c *Client) producePartitioned(topic string, parts int, evs []event.Event, 
 		} else {
 			p = int(c.prodRR.Add(1) % uint64(parts))
 		}
-		if buckets[p] == nil {
-			order = append(order, p)
+		if len(sc.buckets[p]) == 0 {
+			sc.order = append(sc.order, p)
 		}
-		buckets[p] = append(buckets[p], evs[i])
+		sc.buckets[p] = append(sc.buckets[p], evs[i])
 	}
-	if len(order) == 1 {
-		return c.produceTo(topic, order[0], buckets[order[0]], acks)
+	if len(sc.order) == 1 {
+		return c.produceTo(topic, sc.order[0], sc.buckets[sc.order[0]], acks)
 	}
-	offs := make([]int64, len(order))
-	errs := make([]error, len(order))
+	n := len(sc.order)
+	sc.offs = slices.Grow(sc.offs[:0], n)[:n]
+	sc.errs = slices.Grow(sc.errs[:0], n)[:n]
 	var wg sync.WaitGroup
-	for i, p := range order {
+	for i, p := range sc.order {
 		wg.Add(1)
 		go func(i, p int) {
 			defer wg.Done()
-			offs[i], errs[i] = c.produceTo(topic, p, buckets[p], acks)
+			sc.offs[i], sc.errs[i] = c.produceTo(topic, p, sc.buckets[p], acks)
 		}(i, p)
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for _, err := range sc.errs {
 		if err != nil {
 			return 0, err
 		}
 	}
-	return offs[0], nil
+	return sc.offs[0], nil
 }
 
 // Fetch implements client.Transport.

@@ -29,6 +29,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -202,11 +203,10 @@ func WriteFrame(w io.Writer, header any, payload []byte) error {
 // or read, so a hostile length cannot force a large read ahead of the
 // payload's own bound.
 func readHeaderInto(r io.Reader, buf *[]byte) ([]byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	hlen, err := readLen(r)
+	if err != nil {
 		return nil, err
 	}
-	hlen := binary.BigEndian.Uint32(lenBuf[:])
 	if hlen > MaxHeader {
 		return nil, ErrFrameTooLarge
 	}
@@ -220,6 +220,31 @@ func readHeaderInto(r io.Reader, buf *[]byte) ([]byte, error) {
 		return nil, err
 	}
 	return hb, nil
+}
+
+// readLen reads a frame section's u32 length with io.ReadFull's error
+// semantics. Both ends read through a bufio.Reader, which it peeks
+// into: a length buffer passed to io.ReadFull escapes, which would be
+// one allocation per section read.
+func readLen(r io.Reader) (uint32, error) {
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		var b [4]byte
+		if _, err := io.ReadFull(r, b[:]); err != nil {
+			return 0, err
+		}
+		return binary.BigEndian.Uint32(b[:]), nil
+	}
+	b, err := br.Peek(4)
+	if err != nil {
+		if len(b) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, err
+	}
+	n := binary.BigEndian.Uint32(b)
+	_, _ = br.Discard(4) // cannot fail: the bytes are buffered
+	return n, nil
 }
 
 // ReadHeader reads the header section of a frame, decoding the JSON
@@ -244,11 +269,10 @@ func ReadHeader(r io.Reader, header any) error {
 // slice (nil for an empty payload). Passing nil buf always allocates
 // fresh, which is ReadFrame's behavior.
 func ReadPayloadInto(r io.Reader, buf []byte) ([]byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	plen, err := readLen(r)
+	if err != nil {
 		return nil, err
 	}
-	plen := binary.BigEndian.Uint32(lenBuf[:])
 	if plen > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
@@ -287,7 +311,26 @@ func EncodeEvents(evs []event.Event) []byte {
 // the batch's arena: decoded keys and values alias it, so callers hand
 // over ownership (ReadFrame allocates a fresh buffer per frame).
 func DecodeEvents(payload []byte, n int) ([]event.Event, error) {
-	out, pos, err := event.UnmarshalBatch(payload, n)
+	return decodeEventsInto(nil, payload, n)
+}
+
+// minEventBytes is the encoding of an event with no key, value or
+// headers: two u32 lengths, a u64 timestamp and a u32 header count.
+const minEventBytes = 20
+
+// decodeEventsInto is DecodeEvents appending into dst, reusing its
+// capacity (nil dst allocates exactly n). The event count comes from
+// the peer's header, so it is checked against the payload before it
+// sizes anything: a negative or oversized count is an error, never a
+// slice allocation.
+func decodeEventsInto(dst []event.Event, payload []byte, n int) ([]event.Event, error) {
+	if n < 0 || n > len(payload)/minEventBytes {
+		return nil, fmt.Errorf("wire: %d events cannot fit a %d-byte payload", n, len(payload))
+	}
+	if dst == nil {
+		dst = make([]event.Event, 0, n)
+	}
+	out, pos, err := event.AppendUnmarshalBatch(dst, payload, n)
 	if err != nil {
 		return nil, fmt.Errorf("wire: %w", err)
 	}

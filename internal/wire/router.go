@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/broker"
+	"repro/internal/event"
 )
 
 // clusterRouter is the client's routing table, nil-state disabled.
@@ -352,8 +353,8 @@ const (
 // metadata and retry once against the freshly resolved leader. A
 // leaderless partition (ErrNoLeader) is instead retried in place with
 // bounded backoff, waiting out a re-election.
-func (c *Client) dataCall(topic string, partition int, req ReqMsg, resp respMsg, payload, arena []byte) (*call, error) {
-	cl, err := c.dataCallOnce(topic, partition, req, resp, payload, arena)
+func (c *Client) dataCall(topic string, partition int, req ReqMsg, resp respMsg, evs []event.Event, arena []byte) (*call, error) {
+	cl, err := c.dataCallOnce(topic, partition, req, resp, evs, arena)
 	backoff := noLeaderBackoff
 	for attempt := 0; attempt < noLeaderRetries && errors.Is(err, ErrNoLeader); attempt++ {
 		time.Sleep(backoff)
@@ -364,13 +365,13 @@ func (c *Client) dataCall(topic string, partition int, req ReqMsg, resp respMsg,
 		if cl != nil && cl.arena != nil {
 			arena = cl.arena
 		}
-		cl, err = c.dataCallOnce(topic, partition, req, resp, payload, arena)
+		cl, err = c.dataCallOnce(topic, partition, req, resp, evs, arena)
 	}
 	return cl, err
 }
 
-func (c *Client) dataCallOnce(topic string, partition int, req ReqMsg, resp respMsg, payload, arena []byte) (*call, error) {
-	cl, err := c.callAt(c.dataAddr(topic, partition), c.slotFor(topic, partition), req, resp, payload, arena)
+func (c *Client) dataCallOnce(topic string, partition int, req ReqMsg, resp respMsg, evs []event.Event, arena []byte) (*call, error) {
+	cl, err := c.callAt(c.dataAddr(topic, partition), c.slotFor(topic, partition), req, resp, evs, arena)
 	if err == nil || !c.RouterEnabled() || !rerouteable(err) {
 		return cl, err
 	}
@@ -380,7 +381,7 @@ func (c *Client) dataCallOnce(topic string, partition int, req ReqMsg, resp resp
 	if cl != nil && cl.arena != nil {
 		arena = cl.arena
 	}
-	return c.callAt(c.dataAddr(topic, partition), c.slotFor(topic, partition), req, resp, payload, arena)
+	return c.callAt(c.dataAddr(topic, partition), c.slotFor(topic, partition), req, resp, evs, arena)
 }
 
 // controlCall submits a control-plane request to the last known good

@@ -680,7 +680,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			go func(op uint8, corr uint64, m ReqMsg, payload []byte, identity string, authed bool) {
 				defer handlers.Done()
 				defer func() { <-sem }()
-				resp, evs, err := s.dispatch(m, payload, identity, authed, done)
+				sc := getEventScratch()
+				resp, evs, err := s.dispatch(m, payload, identity, authed, done, sc)
 				if werr := w.writeV2(op, corr, resp, err, evs); errors.Is(werr, ErrFrameTooLarge) {
 					// The success response didn't fit its frame bound
 					// (e.g. a pathologically fragmented offset run list):
@@ -689,6 +690,7 @@ func (s *Server) serveConn(conn net.Conn) {
 					// Error frames are tiny and always fit.
 					_ = w.writeV2(op, corr, nil, werr, nil)
 				}
+				putEventScratch(sc)
 				putReqMsg(op, m)
 			}(op, corr, m, payload, identity, authed)
 			continue
@@ -767,10 +769,12 @@ func (s *Server) serveConn(conn net.Conn) {
 				evs  []event.Event
 				err  error
 			)
+			sc := getEventScratch()
+			defer putEventScratch(sc)
 			if perr != nil {
 				err = perr
 			} else {
-				resp, evs, err = s.dispatch(m, payload, identity, authed, done)
+				resp, evs, err = s.dispatch(m, payload, identity, authed, done, sc)
 			}
 			v1 := &Response{Corr: corr}
 			if err != nil {
@@ -843,12 +847,40 @@ func (s *Server) authenticate(a *AuthReq, identity *string, authed *bool) (*Auth
 	return &AuthResp{Identity: ident.ID}, nil
 }
 
+// eventScratch recycles the event slices the server decodes produce
+// batches into and reads fetch responses into. A handler takes one per
+// request and puts it back once its response frame is enqueued:
+// frameVec copies the event headers and borrows only the values, so
+// the pending frame keeps no reference to the slice. Only the slices
+// are recycled; the bytes their events point at belong to the logs.
+var eventScratch = sync.Pool{New: func() any { return new([]event.Event) }}
+
+// maxScratchEvents bounds the capacity of a recycled event slice, so
+// one huge batch does not pin its array.
+const maxScratchEvents = 1 << 12
+
+func getEventScratch() *[]event.Event { return eventScratch.Get().(*[]event.Event) }
+
+// putEventScratch clears the events dispatch left in *sc, dropping
+// their references into log arenas, and recycles the slice.
+func putEventScratch(sc *[]event.Event) {
+	if cap(*sc) > maxScratchEvents {
+		*sc = nil
+	}
+	clear(*sc)
+	*sc = (*sc)[:0]
+	eventScratch.Put(sc)
+}
+
 // dispatch executes one data-plane request against the fabric.
 // Responses with an event payload (fetch) return the events themselves;
 // the respWriter marshals them straight into the connection's pending
 // write buffer, in whichever framing the request arrived under. stop
-// interrupts long-poll waits when the connection tears down.
-func (s *Server) dispatch(m ReqMsg, payload []byte, identity string, authed bool, stop <-chan struct{}) (respMsg, []event.Event, error) {
+// interrupts long-poll waits when the connection tears down. Produce
+// decodes into, and fetches read into, the scratch slice sc; dispatch
+// leaves the events it used in *sc, for the caller to clear once the
+// response is enqueued.
+func (s *Server) dispatch(m ReqMsg, payload []byte, identity string, authed bool, stop <-chan struct{}, sc *[]event.Event) (respMsg, []event.Event, error) {
 	if !authed {
 		return nil, nil, fmt.Errorf("%w: connection not authenticated", auth.ErrBadCredentials)
 	}
@@ -860,14 +892,16 @@ func (s *Server) dispatch(m ReqMsg, payload []byte, identity string, authed bool
 			return nil, nil, err
 		}
 		t0 := time.Now()
-		evs, err := DecodeEvents(payload, q.NumEvents)
+		evs, err := decodeEventsInto((*sc)[:0], payload, q.NumEvents)
 		if err != nil {
 			return nil, nil, err
 		}
+		*sc = evs
 		// The frame buffer is donated to the fabric as the batch arena:
 		// decoded events alias it, and from here it is owned by the log
 		// records. The read loop allocates a fresh payload buffer per
-		// frame, so it never reuses this one.
+		// frame, so it never reuses this one. The event slice itself is
+		// scratch: the fabric copies the events into its log.
 		off, err := s.Fabric.ProduceDonated(identity, q.Topic, q.Partition, evs, broker.Acks(q.Acks))
 		if err != nil {
 			return nil, nil, err
@@ -887,10 +921,11 @@ func (s *Server) dispatch(m ReqMsg, payload []byte, identity string, authed bool
 			wait = MaxFetchWait
 		}
 		t0 := time.Now()
-		res, err := s.Fabric.FetchWaitInto(identity, q.Topic, q.Partition, q.Offset, q.MaxEvents, q.MaxBytes, wait, stop, nil)
+		res, err := s.Fabric.FetchWaitInto(identity, q.Topic, q.Partition, q.Offset, q.MaxEvents, q.MaxBytes, wait, stop, (*sc)[:0])
 		if err != nil {
 			return nil, nil, err
 		}
+		*sc = res.Events
 		resp := &FetchResp{
 			NumEvents:     len(res.Events),
 			HighWatermark: res.HighWatermark,
@@ -958,10 +993,11 @@ func (s *Server) dispatch(m ReqMsg, payload []byte, identity string, authed bool
 		if wait > MaxFetchWait {
 			wait = MaxFetchWait
 		}
-		res, err := s.Fabric.ReplicaFetch(q.Follower, q.Topic, q.Partition, q.LeaderEpoch, q.Offset, q.MaxEvents, q.MaxBytes, wait, stop, nil)
+		res, err := s.Fabric.ReplicaFetch(q.Follower, q.Topic, q.Partition, q.LeaderEpoch, q.Offset, q.MaxEvents, q.MaxBytes, wait, stop, (*sc)[:0])
 		if err != nil {
 			return nil, nil, err
 		}
+		*sc = res.Events
 		resp := &ReplicaFetchResp{
 			NumEvents:     len(res.Events),
 			LeaderEpoch:   res.LeaderEpoch,

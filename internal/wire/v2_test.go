@@ -845,3 +845,81 @@ func FuzzDecodeMetadataV2(f *testing.F) {
 		}
 	})
 }
+
+// TestProduceEventCountChecked sends produce frames whose header event
+// count does not match the payload — negative, far too large, one too
+// many — in v2 and v1 framing. Each must come back as an error response
+// on a connection that stays usable, with nothing appended. The count
+// is the peer's word: it must not size a slice (a negative capacity
+// panics the handler, which takes the whole server down) before the
+// payload vouches for it.
+func TestProduceEventCountChecked(t *testing.T) {
+	f, addr, stop := startServer(t, true)
+	defer stop()
+	if _, err := f.CreateTopic("nc", "", cluster.TopicConfig{Partitions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	evs := []event.Event{{Key: []byte("k"), Value: []byte("v")}, {Value: []byte("w")}}
+	payload := event.AppendBatchMarshal(nil, evs)
+	counts := []int{-1, 1 << 40, len(evs) + 1}
+
+	// v1 framing: a connection that never negotiates.
+	v1c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v1c.Close()
+	rd1 := bufio.NewReader(v1c)
+	for i, n := range append(counts, len(evs)) {
+		if err := WriteFrame(v1c, &Request{Op: OpProduce, Corr: uint64(i + 1), Topic: "nc", Acks: 1, NumEvents: n}, payload); err != nil {
+			t.Fatal(err)
+		}
+		var resp Response
+		if _, err := ReadFrame(rd1, &resp); err != nil {
+			t.Fatalf("v1 count %d: connection dropped: %v", n, err)
+		}
+		if ok := resp.Err == ""; ok != (n == len(evs)) {
+			t.Fatalf("v1 count %d: error %q", n, resp.Err)
+		}
+	}
+
+	// v2 framing.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := WriteFrame(conn, &Request{Op: OpNegotiate, Corr: 1, MaxVersion: ProtocolV2, Features: allFeatures}, nil); err != nil {
+		t.Fatal(err)
+	}
+	rd := bufio.NewReader(conn)
+	var nresp Response
+	if _, err := ReadFrame(rd, &nresp); err != nil || nresp.Version != ProtocolV2 {
+		t.Fatalf("negotiation = v%d, %v", nresp.Version, err)
+	}
+	var hdr []byte
+	for i, n := range append(counts, len(evs)) {
+		var frame frameVec
+		if err := frame.appendRequestV2(uint64(i+2), &ProduceReq{Topic: "nc", Acks: 1, NumEvents: n}, evs); err != nil {
+			t.Fatal(err)
+		}
+		if err := frame.writeTo(conn); err != nil {
+			t.Fatal(err)
+		}
+		hb, err := readHeaderInto(rd, &hdr)
+		if err != nil {
+			t.Fatalf("v2 count %d: connection dropped: %v", n, err)
+		}
+		var resp ProduceResp
+		_, _, rerr := DecodeResponseV2(hb, &resp)
+		if _, err := ReadPayloadInto(rd, nil); err != nil {
+			t.Fatal(err)
+		}
+		if (rerr == nil) != (n == len(evs)) {
+			t.Fatalf("v2 count %d: error %v", n, rerr)
+		}
+	}
+	if end, err := f.EndOffset("nc", 0); err != nil || end != 2*int64(len(evs)) {
+		t.Fatalf("log end %d, %v: want only the two well-formed batches", end, err)
+	}
+}

@@ -12,8 +12,9 @@ import (
 
 // borrowMin is the size from which a frame writer references a payload
 // slice in place instead of copying it into its frame buffer: event
-// values in responses, and whole produce payloads in requests. Shorter
-// slices are cheaper to copy than to carry as one more iovec.
+// values, in produce requests and in every response that carries
+// events. Shorter slices are cheaper to copy than to carry as one more
+// iovec.
 const borrowMin = 1 << 10
 
 // frameVec accumulates encoded frames for one vectored write. Headers
@@ -25,8 +26,8 @@ const borrowMin = 1 << 10
 // Borrowing has one rule: a borrowed slice must not change until the
 // frames holding it have been written (writeTo returned). Log arenas
 // are write-once, so event values read from a log always qualify; a
-// client's produce payload qualifies because its call holds it until
-// the writer releases it (see call.inflight).
+// client's produce values qualify because its call holds them until
+// the writer releases them (see call.inflight).
 type frameVec struct {
 	buf []byte
 	// borrowed[i] is written right after buf[:at[i]].
@@ -149,14 +150,15 @@ func (v *frameVec) appendV1(header any, payload []byte, evs []event.Event) error
 	return v.finishFrame(at, payload, evs)
 }
 
-// appendRequestV2 appends a v2 request frame carrying payload.
-func (v *frameVec) appendRequestV2(corr uint64, m ReqMsg, payload []byte) error {
+// appendRequestV2 appends a v2 request frame whose payload section is
+// the encoding of evs.
+func (v *frameVec) appendRequestV2(corr uint64, m ReqMsg, evs []event.Event) error {
 	at := v.beginFrame()
 	v.buf = AppendRequestV2(v.buf, corr, m)
 	if err := v.endHeader(at); err != nil {
 		return err
 	}
-	return v.finishFrame(at, payload, nil)
+	return v.finishFrame(at, nil, evs)
 }
 
 // appendResponseV2 appends a v2 response frame: a typed header (or an

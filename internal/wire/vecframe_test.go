@@ -145,8 +145,10 @@ func TestRespWriterVectoredFramesMatchFlat(t *testing.T) {
 }
 
 // TestClientWriterVectoredFramesMatchFlat is the client-side twin: the
-// writer goroutine's produce frames, with payloads borrowed from
-// threshold size up, equal the flat request encoding in v1 and v2.
+// writer goroutine encodes each produce call's events straight into its
+// frame, borrowing values from threshold size up, and the frames equal
+// the flat request encoding — header plus event.AppendBatchMarshal — in
+// v1 and v2.
 func TestClientWriterVectoredFramesMatchFlat(t *testing.T) {
 	a, b := tcpPair(t)
 	got := readAllAsync(b)
@@ -162,7 +164,7 @@ func TestClientWriterVectoredFramesMatchFlat(t *testing.T) {
 			req := &ProduceReq{Topic: "vt", Partition: 1, Acks: -1, NumEvents: len(evs)}
 			// One-way calls complete when their write returns, so no
 			// server is needed to answer.
-			cl := &call{op: req.V2Op(), req: req, payload: payload, oneway: true, done: make(chan struct{})}
+			cl := &call{op: req.V2Op(), req: req, evs: evs, oneway: true, done: make(chan struct{})}
 			if err := wc.do(cl); err != nil {
 				t.Fatalf("%s v%d: %v", c.name, version, err)
 			}
@@ -200,7 +202,7 @@ func firstDiff(a, b []byte) int {
 // borrowed slices — exactly as they were.
 func TestFrameVecRollsBackOversizedFrames(t *testing.T) {
 	var v frameVec
-	big := make([]byte, 2*borrowMin)
+	big := []event.Event{{Value: make([]byte, 2*borrowMin)}}
 	if err := v.appendRequestV2(1, &ProduceReq{Topic: "t", NumEvents: 1}, big); err != nil {
 		t.Fatal(err)
 	}
@@ -208,8 +210,8 @@ func TestFrameVecRollsBackOversizedFrames(t *testing.T) {
 	if err := v.writeTo(&want); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.appendRequestV2(2, &ProduceReq{Topic: "t"}, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversized payload: %v", err)
+	if err := v.appendRequestV2(2, &ProduceReq{Topic: "t", NumEvents: 1}, []event.Event{{Value: make([]byte, MaxFrame)}}); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized produce: %v", err)
 	}
 	huge := []event.Event{{Value: make([]byte, MaxFrame)}}
 	if err := v.appendResponseV2(v2OpFetch, 3, &FetchResp{NumEvents: 1}, nil, huge); !errors.Is(err, ErrFrameTooLarge) {
@@ -224,26 +226,40 @@ func TestFrameVecRollsBackOversizedFrames(t *testing.T) {
 	}
 }
 
-// slowConn models a vectored write in flight: Write hands its buffer to
-// the socket in small paced chunks, and a racing Close takes effect
-// only once the Write in progress returns — as a writev syscall keeps
-// copying from the buffer it was given when the descriptor is closed
-// under it.
+// slowConn models a vectored write in flight. net.Buffers.WriteTo
+// falls back to one Write per buffer on a conn that is not a
+// *net.TCPConn, so slowConn treats everything the writer sends between
+// two SetWriteDeadline calls (the writer sets one before each vectored
+// write) as one writev: each Write hands its buffer to the socket in
+// small paced chunks, and a racing Close takes effect only once the
+// next vectored write starts — as a writev syscall keeps copying from
+// the buffers it was given when the descriptor is closed under it.
 type slowConn struct {
 	net.Conn
 	mu      sync.Mutex
-	writing bool
+	vec     bool // a vectored write may be in progress
 	closing bool
 	sent    atomic.Int64
 }
 
+func (c *slowConn) SetWriteDeadline(t time.Time) error {
+	c.mu.Lock()
+	closing := c.closing
+	c.vec = !closing
+	c.mu.Unlock()
+	if closing {
+		c.Conn.Close()
+		return net.ErrClosed
+	}
+	return c.Conn.SetWriteDeadline(t)
+}
+
 func (c *slowConn) Write(b []byte) (int, error) {
 	c.mu.Lock()
-	if c.closing {
+	if c.closing && !c.vec {
 		c.mu.Unlock()
 		return 0, net.ErrClosed
 	}
-	c.writing = true
 	c.mu.Unlock()
 	n := 0
 	var err error
@@ -254,16 +270,6 @@ func (c *slowConn) Write(b []byte) (int, error) {
 		c.sent.Add(int64(k))
 		time.Sleep(50 * time.Microsecond)
 	}
-	c.mu.Lock()
-	c.writing = false
-	closing := c.closing
-	c.mu.Unlock()
-	if closing {
-		c.Conn.Close()
-		if err == nil {
-			err = net.ErrClosed
-		}
-	}
 	return n, err
 }
 
@@ -271,26 +277,21 @@ func (c *slowConn) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closing = true
-	if c.writing {
-		return nil // the in-flight Write closes on its way out
+	if c.vec {
+		return nil // the vectored write in progress runs to its end
 	}
 	return c.Conn.Close()
 }
 
-func (c *slowConn) inFlight() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.writing
-}
-
-// TestProducePayloadHeldUntilWritten is the payload-lifetime regression
-// test for borrowed produce payloads: the read side fails while a large
-// produce frame is still being written, which completes the call early.
-// The payload buffer must not go back to producePool — where the next
-// produce overwrites it — until the write that borrowed it returned. A
-// buffer reused too soon sends poisoned bytes under an intact frame
-// header, and the server appends them. Whatever the server receives, it
-// must either decode the batch intact or drop the connection.
+// TestProducePayloadHeldUntilWritten is the lifetime regression test for
+// borrowed produce values: the read side fails while a large produce
+// frame is still being written, which completes the call early. The
+// writer borrows the caller's event values, so Produce must not return
+// — handing them back to the caller, who reuses them — until the write
+// that borrowed them returned. Values reused too soon send poisoned
+// bytes under an intact frame header, and the server appends them.
+// Whatever the server receives, it must either decode the batch intact
+// or drop the connection.
 func TestProducePayloadHeldUntilWritten(t *testing.T) {
 	f, addr, stop := startServer(t, true)
 	defer stop()
@@ -306,6 +307,7 @@ func TestProducePayloadHeldUntilWritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer raw.Close()
 	sc := &slowConn{Conn: raw}
 	wc, err := c.open(sc)
 	if err != nil {
@@ -318,12 +320,11 @@ func TestProducePayloadHeldUntilWritten(t *testing.T) {
 	c.mu.Unlock()
 	dialed.fail(ErrConnClosed)
 
-	// About 768 KiB: large enough to be in flight for a while, small
-	// enough (under maxPooledFrame) for its buffer to be pooled.
+	// About 768 KiB, every value borrowed: large enough to be in
+	// flight for a while.
 	const n, size = 48, 16 << 10
 	pattern := func(seq, j int) byte { return byte(seq*31 + j) }
 	evs := make([]event.Event, n)
-	poison := make([]event.Event, n)
 	for i := range evs {
 		v := make([]byte, size)
 		binary.BigEndian.PutUint64(v, uint64(i))
@@ -331,25 +332,21 @@ func TestProducePayloadHeldUntilWritten(t *testing.T) {
 			v[j] = pattern(i, j)
 		}
 		evs[i] = event.Event{Value: v}
-		poison[i] = event.Event{Value: bytes.Repeat([]byte{0x5a}, size)}
 	}
 	payloadLen := int64(len(event.AppendBatchMarshal(nil, evs)))
+	frameLen := 8 + int64(len(AppendRequestV2(nil, 0, &ProduceReq{Topic: "pl", Acks: int(broker.AcksLeader), NumEvents: n}))) + payloadLen
 
 	sent0 := sc.sent.Load()
 	produced := make(chan error, 1)
 	go func() {
 		_, err := c.Produce("", "pl", 0, evs, broker.AcksLeader)
-		// The next produces reuse whatever buffers the pool hands out:
-		// fill them with a same-shaped poison batch, so bytes still in
-		// flight from a prematurely returned buffer arrive poisoned.
-		var held []*[]byte
-		for i := 0; i < 4; i++ {
-			bp := producePool.Get().(*[]byte)
-			*bp = event.AppendBatchMarshal((*bp)[:0], poison)
-			held = append(held, bp)
-		}
-		for _, bp := range held {
-			producePool.Put(bp)
+		// Produce returned: the values are the caller's again, and it
+		// reuses them for its next batch. Poison them in place, so
+		// bytes still in flight from a premature return arrive poisoned.
+		for i := range evs {
+			for j := range evs[i].Value {
+				evs[i].Value[j] = 0x5a
+			}
 		}
 		produced <- err
 	}()
@@ -362,7 +359,7 @@ func TestProducePayloadHeldUntilWritten(t *testing.T) {
 	}
 	wc.fail(errors.New("injected read-side failure"))
 	<-produced // either outcome is legal: the retry may land on a fresh connection
-	for sc.inFlight() {
+	for sc.sent.Load()-sent0 < frameLen {
 		if time.Now().After(deadline) {
 			t.Fatal("slow write never finished")
 		}
